@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsFlagParsing$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTraces$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Coverage with a ratcheted floor: raise COVER_FLOOR when coverage improves,
 # never lower it (measured 72.3% when last ratcheted). -short skips the e2e

@@ -2,13 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -217,17 +215,11 @@ type DisassembleResponse struct {
 	Spans []*obs.SpanNode `json:"spans,omitempty"`
 }
 
-// disassembleRequest is the JSON decode-request body.
-type disassembleRequest struct {
-	Traces [][]float64 `json:"traces"`
-}
-
 // handleDisassemble decodes one batch of traces against the named template.
 //
-// Bodies: JSON {"traces": [[...], ...]} or, with Content-Type
-// application/octet-stream, a packed little-endian frame — uint32 count,
-// uint32 traceLen, then count*traceLen float64 samples — which skips JSON
-// float formatting for large batches.
+// ReadTraces parses the body: JSON {"traces": [[...], ...]} or a packed
+// little-endian frame, which skips JSON float formatting for large batches.
+// A body past MaxBodyBytes is 413, any other malformed body 400.
 func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("template")
 	tpl, err := s.reg.Get(name)
@@ -283,10 +275,15 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	}
 
 	decodeBodySpan := root.FineChild("serve.decode.body")
-	traces, err := readTraces(r, s.cfg.MaxBodyBytes, tpl.traceLen)
+	traces, err := ReadTraces(r, s.cfg.MaxBodyBytes, tpl.traceLen)
 	decodeBodySpan.SetAttr("traces", float64(len(traces)))
 	decodeBodySpan.End()
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+			return
+		}
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -359,72 +356,6 @@ func driftStateValue(state string) float64 {
 	default:
 		return 0
 	}
-}
-
-// readTraces parses the request body into a trace batch, validating every
-// trace against the template's expected length up front so a malformed batch
-// is rejected before any decode work starts.
-func readTraces(r *http.Request, maxBytes int64, traceLen int) ([][]float64, error) {
-	body := http.MaxBytesReader(nil, r.Body, maxBytes)
-	if r.Header.Get("Content-Type") == "application/octet-stream" {
-		return readBinaryTraces(body, maxBytes, traceLen)
-	}
-	var req disassembleRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if len(req.Traces) == 0 {
-		return nil, errors.New("empty batch: provide at least one trace")
-	}
-	for i, tr := range req.Traces {
-		if len(tr) != traceLen {
-			return nil, fmt.Errorf("trace %d has %d samples, template expects %d", i, len(tr), traceLen)
-		}
-	}
-	return req.Traces, nil
-}
-
-// readBinaryTraces parses the packed little-endian frame: uint32 count,
-// uint32 traceLen, then count*traceLen float64 samples.
-func readBinaryTraces(body io.Reader, maxBytes int64, traceLen int) ([][]float64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(body, hdr[:]); err != nil {
-		return nil, fmt.Errorf("binary body: reading header: %w", err)
-	}
-	count := binary.LittleEndian.Uint32(hdr[0:4])
-	n := binary.LittleEndian.Uint32(hdr[4:8])
-	if count == 0 {
-		return nil, errors.New("empty batch: provide at least one trace")
-	}
-	if int(n) != traceLen || n == 0 {
-		return nil, fmt.Errorf("binary header declares %d samples per trace, template expects %d", n, traceLen)
-	}
-	// The header is client-supplied: check the declared batch fits the body
-	// bound before allocating anything sized by it, so a tiny request cannot
-	// declare a multi-gigabyte batch and OOM the server. Division (not
-	// count*n*8 <= maxBytes) keeps the comparison overflow-free.
-	if perTrace := 8 * uint64(n); uint64(maxBytes) < 8 || uint64(count) > (uint64(maxBytes)-8)/perTrace {
-		return nil, fmt.Errorf("binary header declares %d traces of %d samples, exceeding the %d-byte body limit", count, n, maxBytes)
-	}
-	traces := make([][]float64, count)
-	buf := make([]byte, 8*int(n))
-	for i := range traces {
-		if _, err := io.ReadFull(body, buf); err != nil {
-			return nil, fmt.Errorf("binary body: trace %d truncated: %w", i, err)
-		}
-		tr := make([]float64, n)
-		for j := range tr {
-			tr[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-		}
-		traces[i] = tr
-	}
-	// Trailing bytes mean the header lied about the batch shape.
-	if extra, _ := io.Copy(io.Discard, io.LimitReader(body, 1)); extra > 0 {
-		return nil, errors.New("binary body: trailing bytes after declared batch")
-	}
-	return traces, nil
 }
 
 // handleTemplates reports every registered template's status, including each

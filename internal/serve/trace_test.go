@@ -205,9 +205,12 @@ func TestTracedDisassembleExportsFullSpanTree(t *testing.T) {
 // requests, and leave the exporter with one well-formed JSONL record each.
 // Run with -race to make the isolation claim mean something.
 func TestConcurrentTracedRequestsIsolated(t *testing.T) {
-	url, sink, exp, _ := tracedServer(t, obs.NewTailSampler(0, nil), Config{MaxInFlight: runtime.NumCPU()})
-
 	const workers, perWorker = 12, 4
+	// The queue holds every worker: with fewer CPUs than workers, slots plus
+	// the default queue of 8 can be short of 12, and a shed 429 would fail
+	// an isolation test that is not about admission.
+	url, sink, exp, _ := tracedServer(t, obs.NewTailSampler(0, nil), Config{MaxInFlight: runtime.NumCPU(), MaxQueue: workers})
+
 	var mu sync.Mutex
 	seen := make(map[string]bool, workers*perWorker)
 	var wg sync.WaitGroup

@@ -36,9 +36,10 @@ bench:
 # more than 3% slower than the nil-registry fast path, when decision
 # recording (scored path + log + drift monitor) costs more than 3% over
 # plain decoding and more than 5us/trace absolute, when sparse per-cell
-# extraction loses its >=8x edge over the full-FFT path (or grows past its
-# allocation budget), or when a v4 registry cold start (header-only opens)
-# is not at least 10x cheaper than the same 16 templates as gob.
+# extraction loses its >=8x edge over the full-FFT Extract it replaces at
+# inference (or grows past its allocation budget), or when a registry cold
+# start (header-only opens) is not at least 10x cheaper than opening and
+# materializing the same 16 templates.
 bench-compare:
 	BENCH_COMPARE=1 $(GO) test -run 'TestMetricsOverheadBudget|TestDecisionOverheadBudget|TestSparseSpeedupBudget|TestLabeledOverheadBudget|TestStoreColdStartBudget|TestTracingOverheadBudget' -v .
 

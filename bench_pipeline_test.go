@@ -103,21 +103,6 @@ func BenchmarkPipelineExtract(b *testing.B) {
 	}
 }
 
-func BenchmarkPipelineExtractFromScalogram(b *testing.B) {
-	pl, traces := benchPipeline(b)
-	flat, err := pl.RawScalogram(traces[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pl.ExtractFromScalogram(flat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPipelineExtractSparse(b *testing.B) {
 	pl, traces := benchPipeline(b)
 	// First call builds the per-cell kernel table (cached for the pipeline's
@@ -134,19 +119,11 @@ func BenchmarkPipelineExtractSparse(b *testing.B) {
 	}
 }
 
-// benchClassifyOne measures single-trace end-to-end decode latency — trace in,
-// instruction out, the paper's real-time monitoring unit of work — through the
-// selected inference path.
-func benchClassifyOne(b *testing.B, mode core.SparseMode) {
+// BenchmarkPipelineClassifyOneSparse measures single-trace end-to-end decode
+// latency — trace in, instruction out, the paper's real-time monitoring unit
+// of work — through the sparse per-cell inference path.
+func BenchmarkPipelineClassifyOneSparse(b *testing.B) {
 	d, traces := classifyFixture(b)
-	if err := d.SetSparseMode(mode); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := d.SetSparseMode(core.SparseAuto); err != nil {
-			b.Fatal(err)
-		}
-	}()
 	if _, err := d.Classify(traces[0]); err != nil {
 		b.Fatal(err)
 	}
@@ -158,9 +135,6 @@ func benchClassifyOne(b *testing.B, mode core.SparseMode) {
 		}
 	}
 }
-
-func BenchmarkPipelineClassifyOneSparse(b *testing.B) { benchClassifyOne(b, core.SparseOn) }
-func BenchmarkPipelineClassifyOneFull(b *testing.B)   { benchClassifyOne(b, core.SparseOff) }
 
 // benchFit runs a full FitPipeline at the given worker count; the
 // Serial/Parallel pair quantifies the multi-core speedup (identical results

@@ -1,20 +1,20 @@
 package sidechannel
 
 // Registry cold-start benchmarks: time to bring a template directory to
-// serving-ready (NewRegistry scan + Get on every template) for the legacy
-// gob format — which must decode and restore the whole state before the
-// first request — against the v4 store format, whose Get stops at the
-// checksummed header and defers matrix materialization to first decode. Run
+// serving-ready (NewRegistry scan + Get on every template). Get stops at
+// each file's checksummed header and defers matrix materialization to the
+// first decode; the materialized variant opens and materializes the same
+// files whole, the cost every template would pay up front without the lazy
+// split. Run
 //
 //	go test -bench=RegistryColdStart -benchmem -run=^$
 //
 // and compare against BENCH_store.json. The comparison gate
 // (TestStoreColdStartBudget, part of `make bench-compare`) fails when the
-// v4 cold start is not at least 10x cheaper than gob over the same 16
-// templates — the margin the lazy format exists for.
+// header-only cold start is not at least 10x cheaper than materializing the
+// same 16 templates — the margin the lazy format exists for.
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,22 +28,21 @@ import (
 	"repro/internal/store"
 )
 
-// storeBench lays out two template directories — 16 gob copies and 16 v4
-// copies of a serving-representative template — once per process.
+// storeBench lays out one directory of 16 copies of a serving-representative
+// template once per process.
 var storeBench struct {
-	once   sync.Once
-	gobDir string
-	v4Dir  string
-	err    error
+	once sync.Once
+	dir  string
+	err  error
 }
 
 const coldStartTemplates = 16
 
 // storeBenchTemplate trains the fixture the cold-start comparison is run
 // over. Unlike classifyFixture it enables the register levels: their 32-way
-// kNN classifiers carry the training-set matrices that dominate a gob
-// decode, exactly the payloads a serving registry pays for on every legacy
-// template whether or not the first request needs them.
+// kNN classifiers carry the training-set matrices that dominate
+// materialization, exactly the payloads a serving registry would pay for on
+// every template whether or not the first request needs them.
 func storeBenchTemplate() (*core.Disassembler, error) {
 	cfg := core.DefaultTrainerConfig()
 	cfg.Programs = 3
@@ -54,7 +53,7 @@ func storeBenchTemplate() (*core.Disassembler, error) {
 	return core.TrainSubset(cfg, AllClasses()[:2], true)
 }
 
-func storeBenchDirs(b *testing.B) (gobDir, v4Dir string) {
+func storeBenchDir(b *testing.B) string {
 	b.Helper()
 	storeBench.once.Do(func() {
 		d, err := storeBenchTemplate()
@@ -62,58 +61,32 @@ func storeBenchDirs(b *testing.B) (gobDir, v4Dir string) {
 			storeBench.err = err
 			return
 		}
-		gobDir, err := os.MkdirTemp("", "scdis-bench-gob-")
+		dir, err := os.MkdirTemp("", "scdis-bench-v4-")
 		if err != nil {
-			storeBench.err = err
-			return
-		}
-		v4Dir, err := os.MkdirTemp("", "scdis-bench-v4-")
-		if err != nil {
-			storeBench.err = err
-			return
-		}
-		var gobBuf bytes.Buffer
-		if err := d.Save(&gobBuf); err != nil {
-			storeBench.err = err
-			return
-		}
-		v4Path := filepath.Join(v4Dir, "seed.bin")
-		if err := d.SaveStoreFile(v4Path, store.Options{}); err != nil {
-			storeBench.err = err
-			return
-		}
-		v4Bytes, err := os.ReadFile(v4Path)
-		if err != nil {
-			storeBench.err = err
-			return
-		}
-		if err := os.Remove(v4Path); err != nil {
 			storeBench.err = err
 			return
 		}
 		for i := 0; i < coldStartTemplates; i++ {
 			name := fmt.Sprintf("t%02d%s", i, serve.TemplateExt)
-			if err := os.WriteFile(filepath.Join(gobDir, name), gobBuf.Bytes(), 0o644); err != nil {
-				storeBench.err = err
-				return
-			}
-			if err := os.WriteFile(filepath.Join(v4Dir, name), v4Bytes, 0o644); err != nil {
+			if err := d.SaveStoreFile(filepath.Join(dir, name), store.Options{}); err != nil {
 				storeBench.err = err
 				return
 			}
 		}
-		storeBench.gobDir, storeBench.v4Dir = gobDir, v4Dir
+		storeBench.dir = dir
 	})
 	if storeBench.err != nil {
 		b.Fatal(storeBench.err)
 	}
-	return storeBench.gobDir, storeBench.v4Dir
+	return storeBench.dir
 }
 
-// benchColdStart measures one full cold start per iteration: scan the
-// directory, Get every template to serving-ready, then Close (dropping the
-// handles so v4 iterations do not accumulate mappings across b.N).
-func benchColdStart(b *testing.B, dir string) {
+// BenchmarkRegistryColdStartV4 measures one full cold start per iteration:
+// scan the directory, Get every template to serving-ready (header only),
+// then Close (dropping the handles so iterations do not accumulate
+// mappings across b.N).
+func BenchmarkRegistryColdStartV4(b *testing.B) {
+	dir := storeBenchDir(b)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,36 +108,56 @@ func benchColdStart(b *testing.B, dir string) {
 	}
 }
 
-func BenchmarkRegistryColdStartGob(b *testing.B) {
-	gobDir, _ := storeBenchDirs(b)
-	benchColdStart(b, gobDir)
-}
-
-func BenchmarkRegistryColdStartV4(b *testing.B) {
-	_, v4Dir := storeBenchDirs(b)
-	benchColdStart(b, v4Dir)
+// BenchmarkRegistryColdStartMaterialized opens and materializes the same 16
+// files whole per iteration (core.OpenTemplate + Template.Disassembler) —
+// the only full-load path, and what a cold start would cost if the registry
+// materialized every template before serving.
+func BenchmarkRegistryColdStartMaterialized(b *testing.B) {
+	dir := storeBenchDir(b)
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+serve.TemplateExt))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(paths) != coldStartTemplates {
+		b.Fatalf("found %d templates, want %d", len(paths), coldStartTemplates)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range paths {
+			tpl, err := core.OpenTemplate(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := tpl.Disassembler(); err != nil {
+				b.Fatal(err)
+			}
+			tpl.Close()
+		}
+	}
 }
 
 // TestStoreColdStartBudget is the store bench-compare gate: with
-// BENCH_COMPARE=1 it measures both cold starts and fails when the v4 path is
-// not at least 10x cheaper. The ratio is structural, not incidental: gob Get
-// must decode every matrix and rebuild restore-time state (Cholesky factors,
-// sparse kernel tables) for all 16 templates before the registry is ready,
-// while v4 Get reads and CRC-checks only the small header region per file.
-// Env-gated like the other timing gates — a timing assertion on a loaded
-// machine is a flake, not a signal.
+// BENCH_COMPARE=1 it measures both cold starts and fails when the
+// header-only path is not at least 10x cheaper than materializing. The
+// ratio is structural, not incidental: materialization must load and
+// CRC-check every matrix section and rebuild restore-time state (Cholesky
+// factors, kernel tables) for all 16 templates, while a header-only Get
+// reads and CRC-checks only the small header region per file. Env-gated
+// like the other timing gates — a timing assertion on a loaded machine is a
+// flake, not a signal.
 func TestStoreColdStartBudget(t *testing.T) {
 	if os.Getenv("BENCH_COMPARE") == "" {
 		t.Skip("set BENCH_COMPARE=1 (or run `make bench-compare`) to enable the cold-start gate")
 	}
 	const rounds = 3
 	const minSpeedup = 10.0
-	gob := minNsPerOp(rounds, BenchmarkRegistryColdStartGob)
+	full := minNsPerOp(rounds, BenchmarkRegistryColdStartMaterialized)
 	v4 := minNsPerOp(rounds, BenchmarkRegistryColdStartV4)
-	speedup := gob / v4
-	fmt.Printf("bench-compare: cold start (%d templates) gob %.0f ns/op, v4 %.0f ns/op, speedup %.1fx (floor %.0fx)\n",
-		coldStartTemplates, gob, v4, speedup, minSpeedup)
+	speedup := full / v4
+	fmt.Printf("bench-compare: cold start (%d templates) materialized %.0f ns/op, header-only %.0f ns/op, speedup %.1fx (floor %.0fx)\n",
+		coldStartTemplates, full, v4, speedup, minSpeedup)
 	if speedup < minSpeedup {
-		t.Fatalf("v4 cold start is only %.1fx faster than gob; the lazy header-open must be at least %.0fx", speedup, minSpeedup)
+		t.Fatalf("header-only cold start is only %.1fx faster than materializing; the lazy header-open must be at least %.0fx", speedup, minSpeedup)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -42,7 +41,6 @@ func main() {
 		pcsFlag  = flag.String("pcs", "1,2,3,5,10,20,43", "principal-component sweep for fig5a/fig5b")
 		varsFlag = flag.String("vars", "3,5,7,9", "variable counts for fig6")
 		workers  = flag.Int("workers", 0, "worker goroutines for the feature/training pipeline (0 = all CPUs)")
-		sparse   = flag.String("sparse", "auto", "inference path for disassembler-backed experiments: auto, on, off")
 		obsOpts  obs.Options
 	)
 	obsOpts.Register(flag.CommandLine)
@@ -83,9 +81,6 @@ func main() {
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
-	}
-	if sc.Sparse, err = core.ParseSparseMode(*sparse); err != nil {
-		fatal(err)
 	}
 	pcs, err := parseInts(*pcsFlag)
 	if err != nil {

@@ -12,22 +12,21 @@
 //	                                 phase through the classifier and report
 //	                                 the drift monitor's verdict per phase
 //	scdis convert -in a.tpl -out b.tpl
-//	                                 migrate a template to the flat v4 store
-//	                                 format (-quantize packs matrix sections
-//	                                 as float32, halving file and resident
-//	                                 bytes)
+//	                                 re-encode a template file (-quantize
+//	                                 packs matrix sections as float32,
+//	                                 halving file and resident bytes)
 //
 // Flags for demo/detect/drift: -programs, -traces, -seed scale the simulated
-// profiling campaign; -workers N bounds the worker pool (0 = all CPUs);
-// -sparse auto|on|off picks the inference path (per-cell sparse CWT vs the
-// full FFT scalogram — auto uses sparse whenever the templates allow it).
-// Observability: -metrics-out/-trace-out/-manifest-out write end-of-run JSON
-// artifacts, -log-format selects text or json logs, -pprof ADDR serves
-// net/http/pprof plus /metrics, and a stage-timing table always lands on
-// stderr after training. Inference quality: -decision-log/-decision-sample
-// write sampled per-classification confidence records as JSONL, and
-// -drift-window/-drift-warn/-drift-critical tune the covariate-shift monitor
-// (its verdict lands on stderr and in the manifest).
+// profiling campaign; -workers N bounds the worker pool (0 = all CPUs).
+// demo -save writes the trained templates as a v4 template file (replaced
+// atomically), and demo -templates decodes with a saved one instead of
+// training. Observability: -metrics-out/-trace-out/-manifest-out write
+// end-of-run JSON artifacts, -log-format selects text or json logs, -pprof
+// ADDR serves net/http/pprof plus /metrics, and a stage-timing table always
+// lands on stderr after training. Inference quality:
+// -decision-log/-decision-sample write sampled per-classification confidence
+// records as JSONL, and -drift-window/-drift-warn/-drift-critical tune the
+// covariate-shift monitor (its verdict lands on stderr and in the manifest).
 package main
 
 import (
@@ -138,28 +137,19 @@ func runDecode(args []string) error {
 	return nil
 }
 
-func campaignFlags(fs *flag.FlagSet) (*int, *int, *uint64, *int, *string, *obs.Options) {
+func campaignFlags(fs *flag.FlagSet) (*int, *int, *uint64, *int, *obs.Options) {
 	programs := fs.Int("programs", 4, "profiling program files per class")
 	traces := fs.Int("traces", 20, "traces per program file")
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	workers := fs.Int("workers", 0, "worker goroutines for training/disassembly (0 = all CPUs)")
-	sparse := fs.String("sparse", "auto", "inference path: auto (sparse when templates allow), on, off")
 	obsOpts := &obs.Options{}
 	obsOpts.Register(fs)
-	return programs, traces, seed, workers, sparse, obsOpts
-}
-
-// parseSparse validates the -sparse flag up front, before any training
-// work; the parsed mode is installed on the trained disassembler with
-// SetSparseMode, where -sparse=on fails for templates that cannot support
-// the per-cell path (legacy scalogram-plane normalization).
-func parseSparse(mode string) (core.SparseMode, error) {
-	return core.ParseSparseMode(mode)
+	return programs, traces, seed, workers, obsOpts
 }
 
 // installObserver wires the session's inference-quality sinks into a trained
 // disassembler, building the covariate-shift monitor from its training
-// baseline. Templates saved before format version 2 carry no baseline; drift
+// baseline. Templates that predate drift support carry no baseline; drift
 // monitoring is then skipped with a notice instead of failing the run.
 func installObserver(d *core.Disassembler, sess *obs.Session, opts *obs.Options) error {
 	mon, err := d.NewDriftMonitor(opts.DriftConfig())
@@ -191,8 +181,8 @@ func applyWorkers(workers int) error {
 
 func runDemo(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
-	programs, traces, seed, workers, sparse, obsOpts := campaignFlags(fs)
-	saveTo := fs.String("save", "", "write the trained templates to this file")
+	programs, traces, seed, workers, obsOpts := campaignFlags(fs)
+	saveTo := fs.String("save", "", "write the trained templates to this file (v4 template store)")
 	loadFrom := fs.String("templates", "", "load templates from this file instead of training")
 	dumpTraces := fs.String("dump-traces", "", "write the first demo run's traces to this file as a JSON body ready to POST to scdisd")
 	dumpListing := fs.String("dump-listing", "", "write the first demo run's decoded listing to this file, one instruction per line")
@@ -200,10 +190,6 @@ func runDemo(ctx context.Context, args []string) error {
 		return err
 	}
 	if err := applyWorkers(*workers); err != nil {
-		return err
-	}
-	sparseMode, err := parseSparse(*sparse)
-	if err != nil {
 		return err
 	}
 	ctx, sess, err := obsOpts.Start(ctx)
@@ -221,8 +207,6 @@ func runDemo(ctx context.Context, args []string) error {
 	var d *core.Disassembler
 	var rep *core.TrainReport
 	if *loadFrom != "" {
-		// LoadFile sniffs the format: gob (v1–v3) and flat store (v4) files
-		// both load here, so demo can replay templates from either lineage.
 		if d, err = core.LoadFile(*loadFrom); err != nil {
 			return err
 		}
@@ -235,22 +219,11 @@ func runDemo(ctx context.Context, args []string) error {
 			return err
 		}
 		if *saveTo != "" {
-			f, err := os.Create(*saveTo)
-			if err != nil {
-				return err
-			}
-			if err := d.Save(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := d.SaveStoreFile(*saveTo, store.Options{}); err != nil {
 				return err
 			}
 			fmt.Printf("templates saved to %s\n", *saveTo)
 		}
-	}
-	if err := d.SetSparseMode(sparseMode); err != nil {
-		return err
 	}
 	if err := installObserver(d, sess, obsOpts); err != nil {
 		return err
@@ -328,15 +301,11 @@ func writeJSONFile(path string, v any) error {
 
 func runDetect(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
-	programs, traces, seed, workers, sparse, obsOpts := campaignFlags(fs)
+	programs, traces, seed, workers, obsOpts := campaignFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := applyWorkers(*workers); err != nil {
-		return err
-	}
-	sparseMode, err := parseSparse(*sparse)
-	if err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -351,9 +320,6 @@ func runDetect(ctx context.Context, args []string) error {
 	sc.TracesPerProgram = *traces
 	sc.Seed = *seed
 	res, err := experiments.MalwareObserved(sc, func(d *core.Disassembler) error {
-		if err := d.SetSparseMode(sparseMode); err != nil {
-			return err
-		}
 		return installObserver(d, sess, obsOpts)
 	})
 	if err != nil {
@@ -374,17 +340,13 @@ func runDetect(ctx context.Context, args []string) error {
 // machine-greppable "DRIFT <phase> state=..." line for CI smoke checks.
 func runDrift(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("drift", flag.ExitOnError)
-	programs, traces, seed, workers, sparse, obsOpts := campaignFlags(fs)
+	programs, traces, seed, workers, obsOpts := campaignFlags(fs)
 	offset := fs.Float64("offset", 0.5, "DC offset added to every shifted-phase sample")
 	gain := fs.Float64("gain", 1.2, "gain multiplying every shifted-phase sample")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if err := applyWorkers(*workers); err != nil {
-		return err
-	}
-	sparseMode, err := parseSparse(*sparse)
-	if err != nil {
 		return err
 	}
 	ctx, sess, err := obsOpts.Start(ctx)
@@ -401,9 +363,6 @@ func runDrift(ctx context.Context, args []string) error {
 		len(classes), cfg.Programs, cfg.TracesPerProgram)
 	d, rep, err := core.TrainSubsetReportCtx(ctx, cfg, classes, false)
 	if err != nil {
-		return err
-	}
-	if err := d.SetSparseMode(sparseMode); err != nil {
 		return err
 	}
 	if err := installObserver(d, sess, obsOpts); err != nil {
@@ -496,14 +455,14 @@ func runDrift(ctx context.Context, args []string) error {
 	return sess.Close(manifest, parallel.Workers())
 }
 
-// runConvert migrates a template file to the flat v4 store format. The
-// source may be any supported format (gob v1–v3 or already-v4); loading
-// fully validates it, so a defective file never converts into a "valid"
-// store file.
+// runConvert re-encodes a template file: its one remaining job is -quantize
+// (float32 matrix sections) and back. Loading fully validates the source,
+// so a defective file never converts into a "valid" one, and the output is
+// replaced atomically, so -out may name the file being served.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "", "source template file (gob v1-v3 or store v4)")
-	out := fs.String("out", "", "destination file (flat store, schema v4)")
+	in := fs.String("in", "", "source template file (v4 template store)")
+	out := fs.String("out", "", "destination file (v4 template store; may equal -in)")
 	quantize := fs.Bool("quantize", false, "encode matrix sections as float32 (half the bytes; <=2^-24 relative rounding per value, e2e-gated)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -511,16 +470,16 @@ func runConvert(args []string) error {
 	if *in == "" || *out == "" {
 		return errors.New("convert needs -in and -out")
 	}
+	srcInfo, err := os.Stat(*in)
+	if err != nil {
+		return err
+	}
 	d, err := core.LoadFile(*in)
 	if err != nil {
 		return fmt.Errorf("loading %s: %w", *in, err)
 	}
 	if err := d.SaveStoreFile(*out, store.Options{Quantize: *quantize}); err != nil {
 		return fmt.Errorf("writing %s: %w", *out, err)
-	}
-	srcInfo, err := os.Stat(*in)
-	if err != nil {
-		return err
 	}
 	dstInfo, err := os.Stat(*out)
 	if err != nil {

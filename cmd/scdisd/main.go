@@ -5,9 +5,12 @@
 //
 // Every *.tpl file in the directory becomes a template named after its
 // basename ("demo.tpl" serves as "demo"; version by naming, e.g.
-// "demo@2.tpl"). Files are loaded lazily on first request and hot-reloaded:
-// SIGHUP or POST /admin/reload rescans the directory, picking up new,
-// changed and removed files without dropping in-flight requests.
+// "demo@2.tpl"). Template files are v4 template stores (scdis demo -save,
+// scdis convert); a gob file from an older build is refused per template
+// while the others keep serving. Files are opened lazily on first request —
+// header only, the matrices materialize on the first decode — and
+// hot-reloaded: SIGHUP or POST /admin/reload rescans the directory, picking
+// up new, changed and removed files without dropping in-flight requests.
 //
 // Endpoints:
 //
@@ -60,7 +63,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/serve"
@@ -77,7 +79,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("scdisd", flag.ExitOnError)
 	templates := fs.String("templates", "", "directory of trained template files (*.tpl); required")
 	addr := fs.String("addr", ":8080", "listen address")
-	sparse := fs.String("sparse", "auto", "inference path: auto (sparse when templates allow), on, off; on degrades per template when a legacy file cannot support it")
 	workers := fs.Int("workers", 0, "worker goroutines per decode batch (0 = all CPUs)")
 	maxInFlight := fs.Int("max-inflight", 2, "concurrently decoded batches before requests queue")
 	maxQueue := fs.Int("max-queue", 8, "queued batches before requests are shed with 429")
@@ -104,10 +105,6 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = all CPUs), got %d", *workers)
 	}
-	sparseMode, err := core.ParseSparseMode(*sparse)
-	if err != nil {
-		return err
-	}
 	if err := obs.SetupLogging(*logFormat, os.Stderr, false); err != nil {
 		return err
 	}
@@ -121,6 +118,7 @@ func run(args []string) error {
 
 	var decisions *obs.DecisionLog
 	if *decisionLog != "" {
+		var err error
 		if decisions, err = obs.OpenDecisionLog(*decisionLog, *decisionSample); err != nil {
 			return err
 		}
@@ -128,7 +126,6 @@ func run(args []string) error {
 	}
 
 	reg, err := serve.NewRegistry(*templates, serve.RegistryConfig{
-		Sparse:    sparseMode,
 		Drift:     obs.DriftConfig{Window: *driftWindow, Warn: *driftWarn, Critical: *driftCritical},
 		Decisions: decisions,
 	})

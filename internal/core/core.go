@@ -34,8 +34,6 @@ import (
 type coreMetrics struct {
 	classified      *obs.Counter   // core.traces.classified — Classify calls that succeeded
 	rejected        *obs.Counter   // core.traces.rejected — Classify calls that failed
-	sparseTraces    *obs.Counter   // core.traces.sparse — classifications served by the sparse path
-	sparseFallback  *obs.Counter   // core.sparse.fallback — sparse-preferred loads degraded to the full path
 	groupRemapped   *obs.Counter   // core.group.remapped — group decisions redirected onto a trained group
 	confidence      *obs.Histogram // core.decision.confidence — overall decision confidences
 	decisionLogErrs *obs.Counter   // core.decision_log.errors — failed JSONL writes
@@ -56,8 +54,6 @@ func init() {
 		metPtr.Store(&coreMetrics{
 			classified:      r.Counter("core.traces.classified"),
 			rejected:        r.Counter("core.traces.rejected"),
-			sparseTraces:    r.Counter("core.traces.sparse"),
-			sparseFallback:  r.Counter("core.sparse.fallback"),
 			groupRemapped:   r.Counter("core.group.remapped"),
 			confidence:      r.HistogramWith("core.decision.confidence", obs.UnitBuckets()),
 			decisionLogErrs: r.Counter("core.decision_log.errors"),
@@ -65,48 +61,17 @@ func init() {
 	})
 }
 
-// SparseMode selects whether classification runs through the sparse per-cell
-// CWT (dsp.SparseCWT over each level's selected points) or the full FFT
-// scalogram.
+// SparseMode was the inference-path selector (auto, on, off).
+//
+// Deprecated: sparse per-cell extraction is the only inference path; the
+// type remains only so existing callers of SetSparseModePreferred compile.
 type SparseMode int
 
-const (
-	// SparseAuto (the default) uses the sparse path whenever every trained
-	// level's template is sparse-capable, and falls back to the full path
-	// otherwise (e.g. templates saved by builds predating NormTrace).
-	SparseAuto SparseMode = iota
-	// SparseOn requires the sparse path; SetSparseMode fails for templates
-	// that cannot support it.
-	SparseOn
-	// SparseOff forces the full-FFT path (the escape hatch).
-	SparseOff
-)
-
-// String renders the mode in its flag syntax (auto|on|off).
-func (m SparseMode) String() string {
-	switch m {
-	case SparseOn:
-		return "on"
-	case SparseOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseSparseMode parses the -sparse flag syntax: auto, on or off.
-func ParseSparseMode(s string) (SparseMode, error) {
-	switch s {
-	case "auto", "":
-		return SparseAuto, nil
-	case "on":
-		return SparseOn, nil
-	case "off":
-		return SparseOff, nil
-	default:
-		return SparseAuto, fmt.Errorf("core: invalid sparse mode %q (want auto, on or off)", s)
-	}
-}
+// SparseAuto was the default SparseMode. It is an untyped constant, so it
+// also still fills the ignored serve.RegistryConfig.Sparse field.
+//
+// Deprecated: see SparseMode.
+const SparseAuto = 0
 
 // ClassifierKind selects the classification algorithm at every level.
 type ClassifierKind string
@@ -222,13 +187,13 @@ type groupLevel struct {
 // ClassifyScored, Disassemble and the scored batch variants are safe for
 // concurrent use from any number of goroutines — one shared Disassembler can
 // serve concurrent requests. Disassemble additionally fans the per-trace
-// classification out over the parallel.Workers() pool. The two mutating
-// setters (SetSparseMode*, SetObserver) are configuration, not serving: call
-// them before the first classification — they are read without
-// synchronization on the hot path. The observer sinks themselves
-// (DecisionLog, DriftMonitor, Reliability) are internally synchronized, so
-// concurrent batch decodes feed them safely; within one batch the feeding
-// order is the trace-stream order, across batches it is arrival order.
+// classification out over the parallel.Workers() pool. SetObserver is
+// configuration, not serving: call it before the first classification — the
+// observer is read without synchronization on the hot path. The observer
+// sinks themselves (DecisionLog, DriftMonitor, Reliability) are internally
+// synchronized, so concurrent batch decodes feed them safely; within one
+// batch the feeding order is the trace-stream order, across batches it is
+// arrival order.
 type Disassembler struct {
 	group      groupLevel
 	instr      [avr.NumGroups]groupLevel
@@ -237,79 +202,18 @@ type Disassembler struct {
 	rr         groupLevel
 	haveRegs   bool
 	observer   *InferenceObserver // inference-quality sinks; nil = disabled
-	sparseMode SparseMode         // see SetSparseMode; zero value is SparseAuto
 }
 
-// SparseCapable reports whether every trained level's template supports the
-// sparse per-cell path (see features.Pipeline.SparseCapable). Templates
-// fitted with scalogram-plane normalization (format v2 and earlier CSA
-// templates) are not capable and always use the full path.
-func (d *Disassembler) SparseCapable() bool {
-	if d.group.pipe == nil || !d.group.pipe.SparseCapable() {
-		return false
-	}
-	for i := range d.instr {
-		if d.instr[i].pipe != nil && !d.instr[i].pipe.SparseCapable() {
-			return false
-		}
-	}
-	if d.haveRegs {
-		if d.rd.pipe != nil && !d.rd.pipe.SparseCapable() {
-			return false
-		}
-		if d.rr.pipe != nil && !d.rr.pipe.SparseCapable() {
-			return false
-		}
-	}
-	return true
-}
+// SetSparseModePreferred once chose the inference path per template.
+//
+// Deprecated: sparse per-cell extraction is the only inference path; this is
+// a no-op that reports no fallback.
+func (d *Disassembler) SetSparseModePreferred(SparseMode) (fellBack bool) { return false }
 
-// SetSparseMode picks the inference path. SparseOn fails with
-// features.ErrSparseIncapable when the templates cannot support the sparse
-// path. Must be called before classification starts — like SetObserver, the
-// field is read without synchronization on the hot path.
-func (d *Disassembler) SetSparseMode(m SparseMode) error {
-	if m == SparseOn && !d.SparseCapable() {
-		return fmt.Errorf("core: -sparse=on: %w", features.ErrSparseIncapable)
-	}
-	d.sparseMode = m
-	return nil
-}
-
-// SetSparseModePreferred is SetSparseMode for callers that prefer the sparse
-// path but must keep serving when a template cannot support it — a registry
-// loading a mixed set of template versions, where one legacy v1/v2 file must
-// not fail the whole load. SparseOn on a sparse-incapable template degrades
-// to the full-CWT path instead of returning an error: the method installs
-// SparseOff, increments the core.sparse.fallback counter and reports
-// fellBack=true so the caller can log the downgrade. Every other combination
-// behaves exactly like SetSparseMode and reports false.
-func (d *Disassembler) SetSparseModePreferred(m SparseMode) (fellBack bool) {
-	if m == SparseOn && !d.SparseCapable() {
-		met().sparseFallback.Inc()
-		d.sparseMode = SparseOff
-		return true
-	}
-	d.sparseMode = m
-	return false
-}
-
-// SparseMode returns the configured mode (not the resolved path; see
-// SparseEnabled).
-func (d *Disassembler) SparseMode() SparseMode { return d.sparseMode }
-
-// SparseEnabled resolves the configured mode against the templates: the
-// answer Classify acts on.
-func (d *Disassembler) SparseEnabled() bool {
-	switch d.sparseMode {
-	case SparseOn:
-		return true
-	case SparseOff:
-		return false
-	default:
-		return d.SparseCapable()
-	}
-}
+// SparseEnabled reports whether classification runs the sparse path.
+//
+// Deprecated: it always does; this returns true.
+func (d *Disassembler) SparseEnabled() bool { return true }
 
 // ErrNotTrained is returned when a Disassembler lacks a required level.
 var ErrNotTrained = errors.New("core: disassembler not trained")
@@ -324,15 +228,11 @@ func (d *Disassembler) TraceLen() int {
 	return d.group.pipe.TraceLen()
 }
 
-// Classify decodes a single power trace into an instruction.
-//
-// On the full path the trace's CWT scalogram is computed exactly once and
-// shared by every hierarchy level (group, instruction, Rd, Rr) through
-// features.ExtractFromScalogram — the levels differ only in which
-// time–frequency points they read and how they project them. On the sparse
-// path (see SetSparseMode) no full scalogram exists at all: each level
-// evaluates just its own selected cells as direct dot products
-// (features.Pipeline.ExtractSparse), an order of magnitude cheaper.
+// Classify decodes a single power trace into an instruction. Each hierarchy
+// level (group, instruction, Rd, Rr) evaluates only its own selected
+// time–frequency cells as direct dot products
+// (features.Pipeline.ExtractSparse); no full scalogram is computed at
+// inference.
 //
 // The trace is validated first (power.ValidateTrace): a NaN/Inf, constant or
 // wrong-length capture is rejected with a typed error instead of silently
@@ -351,44 +251,15 @@ func (d *Disassembler) Classify(trace []float64) (Decoded, error) {
 		met().rejected.Inc()
 		return Decoded{}, fmt.Errorf("core: rejecting trace: %w", err)
 	}
-	var (
-		dec Decoded
-		err error
-	)
-	if d.SparseEnabled() {
-		dec, err = d.classifySparse(trace)
-	} else {
-		var flat []float64
-		if flat, err = d.group.pipe.RawScalogram(trace); err != nil {
-			met().rejected.Inc()
-			return Decoded{}, fmt.Errorf("core: group features: %w", err)
-		}
-		dec, err = d.classifyScalogram(flat)
-	}
+	dec, err := d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
+		return pl.ExtractSparse(trace)
+	})
 	if err != nil {
 		met().rejected.Inc()
 		return dec, err
 	}
 	met().classified.Inc()
 	return dec, nil
-}
-
-// classifyScalogram runs the hierarchical classification against a shared
-// raw scalogram (see features.Pipeline.RawScalogram).
-func (d *Disassembler) classifyScalogram(flat []float64) (Decoded, error) {
-	return d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractFromScalogram(flat)
-	})
-}
-
-// classifySparse runs the hierarchical classification through the sparse
-// per-cell path: each level evaluates only its own selected cells of the
-// trace, so no full scalogram is ever materialized.
-func (d *Disassembler) classifySparse(trace []float64) (Decoded, error) {
-	met().sparseTraces.Inc()
-	return d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractSparse(trace)
-	})
 }
 
 // trainedGroup reports whether group label gi carries instruction templates.
@@ -461,7 +332,8 @@ func (d *Disassembler) remapGroupScored(gf []float64, sp ml.ScoredPrediction) ml
 }
 
 // classifyExtract walks the hierarchy with the given per-level feature
-// extraction — the shared-scalogram and sparse paths differ only here.
+// extraction: ExtractSparse at inference, and the full-CWT Extract when the
+// accuracy gate decodes a second time as the sparse path's oracle.
 func (d *Disassembler) classifyExtract(extract func(*features.Pipeline) ([]float64, error)) (Decoded, error) {
 	gf, err := extract(d.group.pipe)
 	if err != nil {
@@ -524,14 +396,6 @@ func (d *Disassembler) classifyExtract(extract func(*features.Pipeline) ([]float
 	return out, nil
 }
 
-// boolAttr renders a boolean as a 0/1 span attribute.
-func boolAttr(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // operandRegisters reports which register operands a class carries.
 func operandRegisters(k avr.OperandKind, c avr.Class) (rd, rr bool) {
 	switch k {
@@ -579,7 +443,6 @@ func (d *Disassembler) DisassembleCtx(ctx context.Context, traces [][]float64) (
 	ctx, span := obs.Span(ctx, "core.disassemble")
 	defer span.End()
 	span.SetAttr("traces", float64(len(traces)))
-	span.SetAttr("sparse", boolAttr(d.SparseEnabled()))
 	out := make([]Decoded, len(traces))
 	var (
 		mu       sync.Mutex
@@ -623,7 +486,6 @@ func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]floa
 	ctx, span := obs.Span(ctx, "core.disassemble")
 	defer span.End()
 	span.SetAttr("traces", float64(len(traces)))
-	span.SetAttr("sparse", boolAttr(d.SparseEnabled()))
 	out := make([]Decision, len(traces))
 	driftVecs := make([][]float64, len(traces))
 	var (

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/avr"
+	"repro/internal/features"
 	"repro/internal/power"
 	"repro/internal/store"
 )
@@ -88,32 +89,27 @@ func confusionSummary(conf map[string][][]int) string {
 	return b.String()
 }
 
-// disassembleBothPaths decodes the stream through the sparse per-cell path
-// AND the full-FFT path and requires instruction-identical listings — the
-// sparse path is a performance rewrite, not a model change, so any label
-// divergence on the gate campaign is a bug. Returns the (shared) decoding.
+// disassembleBothPaths decodes the stream through the sparse per-cell
+// inference path AND a second time through the same hierarchy walk with the
+// full-CWT Pipeline.Extract as the per-level extractor — the oracle — and
+// requires instruction-identical listings: the sparse path is a performance
+// rewrite, not a model change, so any label divergence on the gate campaign
+// is a bug. Returns the (shared) decoding.
 func disassembleBothPaths(t *testing.T, d *Disassembler, traces [][]float64) []Decoded {
 	t.Helper()
-	if err := d.SetSparseMode(SparseOn); err != nil {
-		t.Fatal(err)
-	}
 	sparse, err := d.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetSparseMode(SparseOff); err != nil {
-		t.Fatal(err)
-	}
-	full, err := d.Disassemble(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetSparseMode(SparseAuto); err != nil {
-		t.Fatal(err)
-	}
-	for i := range full {
-		if sparse[i] != full[i] {
-			t.Fatalf("trace %d: sparse path decoded %+v, full path decoded %+v", i, sparse[i], full[i])
+	for i, tr := range traces {
+		full, err := d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
+			return pl.Extract(tr)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sparse[i] != full {
+			t.Fatalf("trace %d: sparse path decoded %+v, full-CWT oracle decoded %+v", i, sparse[i], full)
 		}
 	}
 	return sparse

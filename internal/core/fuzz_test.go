@@ -2,77 +2,104 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/avr"
+	"repro/internal/dsp"
+	"repro/internal/store"
 	"repro/internal/testkit"
 )
 
-// stateGob encodes a disassemblerState exactly as Save does, letting the
-// seeds cover structurally valid gob streams (wrong version, missing group
-// level, poisoned class table) without the cost of training a real template
-// set.
-func stateGob(t testing.TB, st disassemblerState) []byte {
+// stateBytes writes a hand-built template state as a v4 file, letting the
+// seeds cover structurally valid files (no group level, poisoned class
+// table) without the cost of training a real template set.
+func stateBytes(t testing.TB, st *store.TemplateState) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+	if err := store.Write(&buf, st, store.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// strippedTrainedGob trains the shared fixture and gob-encodes its state
-// with every matrix payload stripped (the store codecs' Strip, shapes
-// retained): a structurally real template stream at committable size — a
-// whole trained file gob-encodes to hundreds of KB of matrix payload, while
-// the stripped form keeps only the real Points/Pairs/class-table structure
-// the crafted seeds above cannot imitate. Restore hardening guarantees Load
-// rejects it cleanly
-// (the PCA basis has shape but no data) instead of panicking in Transform.
-func strippedTrainedGob(t *testing.T) []byte {
-	d, _ := sharedFixture(t)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
+// craftedSeeds are the cheap FuzzLoad seeds, built without training: empty
+// and garbage input, a legacy gob stream, a bare v4 file at the current and
+// at a future schema, a poisoned class table, and a truncation.
+func craftedSeeds(t testing.TB) [][]byte {
+	bare := stateBytes(t, &store.TemplateState{})
+	var poisoned store.TemplateState
+	poisoned.InstrClass[0] = []avr.Class{avr.Class(255)}
+	whole := stateBytes(t, &store.TemplateState{HaveRegs: true})
+	return [][]byte{
+		{},
+		[]byte("not a gob stream"),
+		legacyGobStream(t),
+		bare,
+		withSchema(bare, store.Version+1),
+		stateBytes(t, &poisoned),
+		whole[:len(whole)/2],
+	}
+}
+
+// tinyTrained trains the smallest template set that still exercises every
+// restore stage (z-score, PCA, QDA, kernel tables) — a narrow wavelet bank
+// keeps the kernel tables short — and saves it quantized: a structurally
+// real file at committable size.
+func tinyTrained(t *testing.T) []byte {
+	cfg := smallConfig()
+	cfg.Programs = 2
+	cfg.TracesPerProgram = 6
+	cfg.Pipeline.NumComponents = 2
+	cfg.Pipeline.TopPerPair = 1
+	cfg.Pipeline.Bank = dsp.BankConfig{NumScales: 6, MinScale: 2, MaxScale: 6}
+	d, err := TrainSubset(cfg, []avr.Class{avr.OpADD, avr.OpAND}, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var st disassemblerState
-	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+	return saveBytes(t, d, store.Options{Quantize: true})
+}
+
+// strippedTrained keeps a trained file's header and section directory but
+// cuts off every section payload: the real structure with no matrices.
+func strippedTrained(t testing.TB, b []byte) []byte {
+	t.Helper()
+	f, err := store.OpenReaderAt(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	lvls := []*levelState{&st.Group, &st.Rd, &st.Rr}
-	for i := range st.Instr {
-		lvls = append(lvls, &st.Instr[i])
-	}
-	for _, lvl := range lvls {
-		if !lvl.Present {
-			continue
-		}
-		lvl.Pipe = lvl.Pipe.Strip()
-		lvl.Clf = lvl.Clf.Strip()
-	}
-	return stateGob(t, st)
+	defer f.Close()
+	return b[:f.PayloadOffset()]
 }
 
 // TestFuzzCorpusCommitted regenerates the committed seed corpus under
 // testdata/fuzz when REGEN_FUZZ_CORPUS is set, and otherwise asserts it is
-// present. The seeds are the crafted stateGob variants plus a stripped real
-// trained state (see strippedTrainedGob).
+// present. Beyond the crafted seeds the corpus carries a small trained v4
+// template and variants of it the fuzzer could not construct: a poisoned
+// class table, a plane-normalized level, a truncation and the stripped
+// header.
 func TestFuzzCorpusCommitted(t *testing.T) {
 	if os.Getenv("REGEN_FUZZ_CORPUS") != "" {
-		testkit.WriteCorpus(t, "FuzzLoad", "not_gob", []byte("not a gob stream"))
-		testkit.WriteCorpus(t, "FuzzLoad", "bare_current_version",
-			stateGob(t, disassemblerState{Version: templateFormatVersion}))
-		testkit.WriteCorpus(t, "FuzzLoad", "future_version",
-			stateGob(t, disassemblerState{Version: templateFormatVersion + 1}))
-		bad := disassemblerState{Version: templateFormatVersion}
-		bad.InstrClass[0] = []avr.Class{avr.Class(255)}
-		testkit.WriteCorpus(t, "FuzzLoad", "poisoned_class_table", stateGob(t, bad))
-		whole := stateGob(t, disassemblerState{Version: templateFormatVersion, HaveRegs: true})
-		testkit.WriteCorpus(t, "FuzzLoad", "truncated", whole[:len(whole)/2])
-		testkit.WriteCorpus(t, "FuzzLoad", "stripped_trained_state", strippedTrainedGob(t))
+		trained := tinyTrained(t)
+		seeds := map[string][]byte{
+			"empty":                {},
+			"not_gob":              []byte("not a gob stream"),
+			"gob_v3":               legacyGobStream(t),
+			"bare_current_version": stateBytes(t, &store.TemplateState{}),
+			"future_version":       withSchema(stateBytes(t, &store.TemplateState{}), store.Version+1),
+			"trained_v4":           trained,
+			"poisoned_class_table": rewriteState(t, trained, func(st *store.TemplateState) {
+				st.InstrClass[0] = []avr.Class{avr.Class(255)}
+			}),
+			"plane_normalized":       rewriteState(t, trained, planeNormalized),
+			"truncated":              trained[:len(trained)/2],
+			"stripped_trained_state": strippedTrained(t, trained),
+		}
+		for name, b := range seeds {
+			testkit.WriteCorpus(t, "FuzzLoad", name, b)
+		}
 		return
 	}
 	ents, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzLoad"))
@@ -83,34 +110,27 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 
 // TestStrippedTrainedSeedRejectedCleanly pins the stripped seed's contract in
 // unit form (the fuzz engine only exercises it under -fuzz): Load must
-// reject the deep, shape-consistent, payload-free state with
-// ErrTemplateFormat — before restore hardening this path reached
-// PipelineFromState with a nil-Data PCA basis and panicked at classify time.
+// reject a real header whose sections are gone with ErrTemplateFormat.
 func TestStrippedTrainedSeedRejectedCleanly(t *testing.T) {
-	b := strippedTrainedGob(t)
-	d, err := Load(bytes.NewReader(b))
-	if d != nil || !errors.Is(err, ErrTemplateFormat) {
-		t.Fatalf("stripped trained state: Load returned (%v, %v), want (nil, ErrTemplateFormat)", d, err)
+	d, _ := sharedFixture(t)
+	b := strippedTrained(t, saveBytes(t, d, store.Options{}))
+	got, err := Load(bytes.NewReader(b))
+	if got != nil || !errors.Is(err, ErrTemplateFormat) {
+		t.Fatalf("stripped trained state: Load returned (%v, %v), want (nil, ErrTemplateFormat)", got, err)
 	}
 }
 
-// FuzzLoad drives template deserialization with arbitrary bytes. The
-// contract under fuzz: Load never panics, never returns a non-nil
-// Disassembler together with an error, and classifies every rejection under
-// ErrTemplateFormat (I/O errors are impossible from a bytes.Reader).
+// FuzzLoad drives template loading with arbitrary bytes: the store's
+// screens and, past them, the core restore layer FuzzStoreOpen stops short
+// of — the class-table screen, the NormMode screen, PipelineFromState,
+// RestoreClassifier and InstallSparseTable. The contract: Load never
+// panics, never returns a non-nil Disassembler together with an error, and
+// classifies every rejection under ErrTemplateFormat (I/O errors are
+// impossible from a bytes.Reader).
 func FuzzLoad(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
-	f.Add(stateGob(f, disassemblerState{Version: templateFormatVersion}))
-	f.Add(stateGob(f, disassemblerState{Version: templateFormatVersion + 1}))
-	f.Add(stateGob(f, disassemblerState{Version: 0}))
-	bad := disassemblerState{Version: templateFormatVersion}
-	bad.InstrClass[0] = []avr.Class{avr.Class(255)}
-	f.Add(stateGob(f, bad))
-	// A truncated version of a structurally valid stream.
-	whole := stateGob(f, disassemblerState{Version: templateFormatVersion, HaveRegs: true})
-	f.Add(whole[:len(whole)/2])
-
+	for _, b := range craftedSeeds(f) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Load(bytes.NewReader(data))
 		if err == nil {
@@ -118,8 +138,13 @@ func FuzzLoad(f *testing.F) {
 				t.Fatal("Load returned nil, nil")
 			}
 			// Anything Load accepts must be classify-ready: the call must
-			// return a verdict or an error, never panic.
-			_, _ = d.Classify(make([]float64, 16))
+			// return a verdict or an error, never panic. The probe is capped
+			// so a fuzzed header cannot demand a huge trace.
+			trace := make([]float64, min(d.TraceLen(), 1<<12))
+			for i := range trace {
+				trace[i] = float64(i % 7)
+			}
+			_, _ = d.Classify(trace)
 			return
 		}
 		if d != nil {
@@ -132,15 +157,12 @@ func FuzzLoad(f *testing.F) {
 }
 
 // TestSaveLoadFuzzSeedRoundTrip keeps the fuzz surface honest against the
-// real format: a trained template set survives Save → Load and the loaded
-// copy decodes traces identically to the original.
+// real format: a trained template set survives SaveStore → Load and the
+// loaded copy decodes traces identically to the original.
 func TestSaveLoadFuzzSeedRoundTrip(t *testing.T) {
 	d, traces := sharedFixture(t)
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()))
+	b := saveBytes(t, d, store.Options{})
+	back, err := Load(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +183,9 @@ func TestSaveLoadFuzzSeedRoundTrip(t *testing.T) {
 	// the deep-structure analogue of the fuzz contract, on bytes the fuzzer
 	// would need many CPU-hours to construct.
 	for _, frac := range []int{1, 2, 4, 8} {
-		cut := buf.Len() * frac / 10
-		if _, err := Load(bytes.NewReader(buf.Bytes()[:cut])); !errors.Is(err, ErrTemplateFormat) {
-			t.Fatalf("truncation at %d/%d bytes: got %v, want ErrTemplateFormat", cut, buf.Len(), err)
+		cut := len(b) * frac / 10
+		if _, err := Load(bytes.NewReader(b[:cut])); !errors.Is(err, ErrTemplateFormat) {
+			t.Fatalf("truncation at %d/%d bytes: got %v, want ErrTemplateFormat", cut, len(b), err)
 		}
 	}
 }

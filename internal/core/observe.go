@@ -38,8 +38,8 @@ func (d *Disassembler) SetObserver(o *InferenceObserver) { d.observer = o }
 func (d *Disassembler) Observer() *InferenceObserver { return d.observer }
 
 // DriftBaseline returns the training-time drift reference of the group
-// pipeline (the shared front of the hierarchy), or nil for templates saved
-// by builds predating drift support.
+// pipeline (the shared front of the hierarchy), or nil for templates that
+// predate drift support.
 func (d *Disassembler) DriftBaseline() *features.FeatureBaseline {
 	if d.group.pipe == nil {
 		return nil
@@ -48,8 +48,8 @@ func (d *Disassembler) DriftBaseline() *features.FeatureBaseline {
 }
 
 // ErrNoDriftBaseline is returned by NewDriftMonitor for templates that
-// predate drift support (format version 1): they carry no training-time
-// feature statistics to compare against.
+// predate drift support (converted from the oldest gob files): they carry no
+// training-time feature statistics to compare against.
 var ErrNoDriftBaseline = errors.New("core: template lacks a drift baseline (saved by an older build); retrain to enable drift monitoring")
 
 // NewDriftMonitor builds a covariate-shift monitor against this
@@ -100,18 +100,9 @@ func predictScored(clf ml.Classifier, f []float64) (ml.ScoredPrediction, error) 
 	return ml.ScoredPrediction{Label: lbl, RunnerUp: -1, Confidence: 1, Margin: 1}, nil
 }
 
-// classifyScalogramScored is classifyScalogram with per-level confidence:
-// the same hierarchy walk against the shared raw scalogram, using
+// classifyExtractScored is classifyExtract with per-level confidence, using
 // PredictScored — which returns the exact label Predict would — and
-// accumulating a DecisionLevel per stage.
-func (d *Disassembler) classifyScalogramScored(flat []float64, tsp *obs.SpanHandle) (Decision, error) {
-	return d.classifyExtractScored(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractFromScalogram(flat)
-	}, tsp)
-}
-
-// classifyExtractScored is classifyExtract with per-level confidence — the
-// scored twin shared by the full and sparse paths. tsp, when non-nil, is the
+// accumulating a DecisionLevel per stage. tsp, when non-nil, is the
 // per-trace parent span; each hierarchy level records a wall-only child span
 // under it (core.classify.group/instr/rd/rr).
 func (d *Disassembler) classifyExtractScored(extract func(*features.Pipeline) ([]float64, error), tsp *obs.SpanHandle) (Decision, error) {
@@ -192,10 +183,10 @@ func (d *Disassembler) classifyExtractScored(extract func(*features.Pipeline) ([
 }
 
 // classifyScored validates and classifies one trace on the scored path,
-// also assembling the drift vector from the shared scalogram when a drift
-// monitor is installed (so drift monitoring costs no extra CWT). It does
-// NOT feed the observer — callers decide between inline (streaming) and
-// serial in-order (batch) feeding.
+// also assembling the drift vector when a drift monitor is installed (time-
+// domain moments only, so drift monitoring costs no CWT). It does NOT feed
+// the observer — callers decide between inline (streaming) and serial
+// in-order (batch) feeding.
 func (d *Disassembler) classifyScored(trace []float64, tsp *obs.SpanHandle) (Decision, []float64, error) {
 	if d.group.pipe == nil || d.group.clf == nil {
 		return Decision{}, nil, ErrNotTrained
@@ -204,23 +195,9 @@ func (d *Disassembler) classifyScored(trace []float64, tsp *obs.SpanHandle) (Dec
 		met().rejected.Inc()
 		return Decision{}, nil, fmt.Errorf("core: rejecting trace: %w", err)
 	}
-	var (
-		dec Decision
-		err error
-	)
-	if d.SparseEnabled() {
-		met().sparseTraces.Inc()
-		dec, err = d.classifyExtractScored(func(pl *features.Pipeline) ([]float64, error) {
-			return pl.ExtractSparse(trace)
-		}, tsp)
-	} else {
-		var flat []float64
-		if flat, err = d.group.pipe.RawScalogram(trace); err != nil {
-			met().rejected.Inc()
-			return Decision{}, nil, fmt.Errorf("core: group features: %w", err)
-		}
-		dec, err = d.classifyScalogramScored(flat, tsp)
-	}
+	dec, err := d.classifyExtractScored(func(pl *features.Pipeline) ([]float64, error) {
+		return pl.ExtractSparse(trace)
+	}, tsp)
 	if err != nil {
 		met().rejected.Inc()
 		return Decision{}, nil, err

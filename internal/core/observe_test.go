@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"math"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/power"
+	"repro/internal/store"
 )
 
 // withObserver installs an observer on the shared fixture disassembler and
@@ -286,23 +286,17 @@ func TestObserveTraceValidation(t *testing.T) {
 	}
 }
 
-// TestTemplateV2CarriesBaseline pins the format bump: a freshly saved
-// template round-trips the drift baseline, and a version-1 file (no
-// baseline) still loads but reports ErrNoDriftBaseline when a monitor is
-// requested.
+// TestTemplateV2CarriesBaseline pins drift-baseline persistence: a saved
+// template round-trips the baseline, and a template without one (converted
+// from a file that predates drift support) still loads but reports
+// ErrNoDriftBaseline when a monitor is requested.
 func TestTemplateV2CarriesBaseline(t *testing.T) {
 	d, _ := sharedFixture(t)
 	base := d.DriftBaseline()
 	if base == nil {
 		t.Fatal("trained disassembler has no drift baseline")
 	}
-
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := append([]byte(nil), buf.Bytes()...)
-
+	saved := saveBytes(t, d, store.Options{})
 	d2, err := Load(bytes.NewReader(saved))
 	if err != nil {
 		t.Fatal(err)
@@ -323,31 +317,22 @@ func TestTemplateV2CarriesBaseline(t *testing.T) {
 		t.Fatalf("reloaded template cannot build a drift monitor: %v", err)
 	}
 
-	// Rewrite the stream as a version-1 file: strip every baseline and mark
-	// the old version, exactly what a pre-drift build would have written.
-	var st disassemblerState
-	if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	st.Version = 1
-	st.Group.Pipe.Baseline = nil
-	for i := range st.Instr {
-		if st.Instr[i].Present {
-			st.Instr[i].Pipe.Baseline = nil
+	// Strip every baseline, exactly what converting a pre-drift file gave.
+	noBase := rewriteState(t, saved, func(st *store.TemplateState) {
+		for _, ls := range levelPtrs(st) {
+			if ls.Present {
+				ls.Pipe.Baseline = nil
+			}
 		}
-	}
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(&st); err != nil {
-		t.Fatal(err)
-	}
-	dOld, err := Load(&v1)
+	})
+	dOld, err := Load(bytes.NewReader(noBase))
 	if err != nil {
-		t.Fatalf("version-1 template rejected: %v", err)
+		t.Fatalf("template without a baseline rejected: %v", err)
 	}
 	if dOld.DriftBaseline() != nil {
-		t.Fatal("version-1 template reports a baseline")
+		t.Fatal("template without a baseline reports one")
 	}
 	if _, err := dOld.NewDriftMonitor(obs.DriftConfig{}); !errors.Is(err, ErrNoDriftBaseline) {
-		t.Fatalf("version-1 NewDriftMonitor err = %v, want ErrNoDriftBaseline", err)
+		t.Fatalf("NewDriftMonitor without a baseline: err = %v, want ErrNoDriftBaseline", err)
 	}
 }

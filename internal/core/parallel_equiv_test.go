@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/avr"
 	"repro/internal/dsp"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/power"
 )
@@ -35,11 +36,11 @@ func acquireTestTraces(t *testing.T, cfg TrainerConfig, classes []avr.Class, per
 	return traces
 }
 
-// TestClassifyOneTransformPerTrace pins the cost invariants of both inference
-// paths: with sparse off, a hierarchical classification — group, instruction,
-// and (when trained) Rd/Rr levels — costs exactly one full CWT per trace and
-// Disassemble costs exactly len(traces); on the sparse path it costs ZERO
-// full CWTs — only per-level sparse evaluations.
+// TestClassifyOneTransformPerTrace pins the cost invariant of inference: a
+// hierarchical classification runs ZERO full CWTs (the dsp.cwt.transforms
+// counter stays put) — only one sparse evaluation per hierarchy level
+// actually consulted (group + instr here), for Classify and Disassemble
+// alike.
 func TestClassifyOneTransformPerTrace(t *testing.T) {
 	cfg := smallConfig()
 	classes := []avr.Class{avr.OpADD, avr.OpAND, avr.OpLDI, avr.OpSEC}
@@ -48,49 +49,33 @@ func TestClassifyOneTransformPerTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	traces := acquireTestTraces(t, cfg, classes, 3)
+	defer obs.SetDefault(nil)
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	full := reg.Counter("dsp.cwt.transforms")
 
-	if err := d.SetSparseMode(SparseOff); err != nil {
-		t.Fatal(err)
-	}
-	before := dsp.TransformCount()
-	if _, err := d.Classify(traces[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got := dsp.TransformCount() - before; got != 1 {
-		t.Fatalf("Classify ran %d CWTs, want exactly 1", got)
-	}
-
-	before = dsp.TransformCount()
-	if _, err := d.Disassemble(traces); err != nil {
-		t.Fatal(err)
-	}
-	if got := dsp.TransformCount() - before; got != uint64(len(traces)) {
-		t.Fatalf("Disassemble of %d traces ran %d CWTs, want exactly %d", len(traces), got, len(traces))
-	}
-
-	// Sparse path: no full transform at all, and at least one sparse
-	// evaluation per hierarchy level actually consulted (group + instr here).
-	if err := d.SetSparseMode(SparseOn); err != nil {
-		t.Fatal(err)
-	}
-	before = dsp.TransformCount()
+	before := full.Value()
 	sparseBefore := dsp.SparseTransformCount()
 	if _, err := d.Classify(traces[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := dsp.TransformCount() - before; got != 0 {
-		t.Fatalf("sparse Classify ran %d full CWTs, want 0", got)
+	if got := full.Value() - before; got != 0 {
+		t.Fatalf("Classify ran %d full CWTs, want 0", got)
 	}
 	if got := dsp.SparseTransformCount() - sparseBefore; got != 2 {
-		t.Fatalf("sparse Classify ran %d sparse evaluations, want 2 (group + instr)", got)
+		t.Fatalf("Classify ran %d sparse evaluations, want 2 (group + instr)", got)
 	}
 
-	before = dsp.TransformCount()
+	before = full.Value()
+	sparseBefore = dsp.SparseTransformCount()
 	if _, err := d.Disassemble(traces); err != nil {
 		t.Fatal(err)
 	}
-	if got := dsp.TransformCount() - before; got != 0 {
-		t.Fatalf("sparse Disassemble of %d traces ran %d full CWTs, want 0", len(traces), got)
+	if got := full.Value() - before; got != 0 {
+		t.Fatalf("Disassemble of %d traces ran %d full CWTs, want 0", len(traces), got)
+	}
+	if got := dsp.SparseTransformCount() - sparseBefore; got != uint64(2*len(traces)) {
+		t.Fatalf("Disassemble of %d traces ran %d sparse evaluations, want %d", len(traces), got, 2*len(traces))
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -68,60 +67,5 @@ func TestSetDefaultRebindDuringDisassemble(t *testing.T) {
 	}
 	if got := last.Snapshot().Counters["core.traces.classified"]; got < int64(len(traces)) {
 		t.Fatalf("final registry counted %d classified traces, want >= %d", got, len(traces))
-	}
-}
-
-// TestSetSparseModePreferredDegrades pins the registry-load contract: where
-// SetSparseMode(SparseOn) hard-fails on a legacy template, the preferred-mode
-// variant degrades to the full-CWT path, reports the fallback, and counts it
-// on core.sparse.fallback — so one old file warns instead of taking a whole
-// template registry down.
-func TestSetSparseModePreferredDegrades(t *testing.T) {
-	d, _ := sharedFixture(t)
-	defer obs.SetDefault(nil)
-	reg := obs.NewRegistry()
-	obs.SetDefault(reg)
-
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// The sparse-capable (v3) template honors the preference without falling
-	// back, for every mode.
-	fresh, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []SparseMode{SparseAuto, SparseOff, SparseOn} {
-		if fresh.SetSparseModePreferred(m) {
-			t.Fatalf("sparse-capable template fell back under %v", m)
-		}
-	}
-	if !fresh.SparseEnabled() {
-		t.Fatal("capable template should honor the SparseOn preference")
-	}
-
-	// A v2 legacy file cannot run the sparse path: preferring on degrades.
-	legacy, err := Load(bytes.NewReader(downgradeState(t, buf.Bytes(), 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := reg.Snapshot().Counters["core.sparse.fallback"]
-	if !legacy.SetSparseModePreferred(SparseOn) {
-		t.Fatal("legacy template did not report the sparse fallback")
-	}
-	if legacy.SparseEnabled() {
-		t.Fatal("legacy template ended sparse-enabled after the fallback")
-	}
-	if got := reg.Snapshot().Counters["core.sparse.fallback"] - before; got != 1 {
-		t.Fatalf("core.sparse.fallback advanced by %d, want 1", got)
-	}
-	// Auto and off are always satisfiable — no fallback, no counter noise.
-	if legacy.SetSparseModePreferred(SparseAuto) || legacy.SetSparseModePreferred(SparseOff) {
-		t.Fatal("auto/off preference reported a fallback on the legacy template")
-	}
-	if got := reg.Snapshot().Counters["core.sparse.fallback"] - before; got != 1 {
-		t.Fatalf("auto/off preference moved the fallback counter (now +%d)", got)
 	}
 }

@@ -1,69 +1,97 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"repro/internal/avr"
+	"repro/internal/features"
+	"repro/internal/ml"
 	"repro/internal/store"
 )
 
-// Schema v4: the flat, checksummed, lazily loadable template container
-// (internal/store). This file converts between the Disassembler and the
-// store's exported TemplateState, and provides the Template handle serving
-// uses for two-phase loading — a cheap header-only open followed by section
-// materialization on the first decode. The gob lineage (v1–v3) stays fully
-// supported through Save/Load; LoadFile and OpenTemplate sniff the magic
-// bytes and route to the right decoder.
+// Template persistence. Profiling is by far the most expensive step of the
+// flow (the paper uploads 10–19 program files per class and captures
+// thousands of traces), so a trained Disassembler is saved once and shipped
+// with a monitoring appliance. The one on-disk format is schema v4, the
+// flat, checksummed, lazily loadable container of internal/store. This file
+// converts between the Disassembler and the store's exported TemplateState,
+// and provides the Template handle serving uses for two-phase loading — a
+// cheap header-only open followed by section materialization on the first
+// decode. Gob files written by older builds (schemas v1–v3) fail the
+// store's magic check and are refused.
 
-// TemplateFormat names the on-disk format of a template file.
-type TemplateFormat string
+// ErrTemplateFormat is wrapped into every load failure caused by the
+// template file itself — a gob file from an older build, truncated or
+// corrupted bytes, an unknown schema version, or decoded state that fails
+// validation. Callers distinguish "bad file" from I/O errors with errors.Is.
+var ErrTemplateFormat = errors.New("core: invalid template file")
 
-const (
-	// FormatGob is the v1–v3 whole-file gob lineage (core.Save).
-	FormatGob TemplateFormat = "gob"
-	// FormatV4 is the flat section-addressed store (store.Write).
-	FormatV4 TemplateFormat = "v4"
-)
+// snapshotLevel converts one trained level into its store form, including
+// the precomputed sparse kernel table.
+func snapshotLevel(lvl groupLevel) (store.LevelState, error) {
+	if lvl.pipe == nil || lvl.clf == nil {
+		return store.LevelState{}, nil // untrained level
+	}
+	ps, err := lvl.pipe.State()
+	if err != nil {
+		return store.LevelState{}, err
+	}
+	cs, err := ml.SnapshotClassifier(lvl.clf)
+	if err != nil {
+		return store.LevelState{}, err
+	}
+	t, err := lvl.pipe.SparseTable()
+	if err != nil {
+		return store.LevelState{}, fmt.Errorf("kernel table: %w", err)
+	}
+	return store.LevelState{Present: true, Pipe: ps, Clf: cs, Sparse: t}, nil
+}
 
-// templateState converts the trained set into the store's exported state,
-// including each sparse-capable level's precomputed kernel table.
+// restoreLevel rebuilds one level from materialized store state. A persisted
+// kernel table must match the fitted state it rides with.
+func restoreLevel(ls store.LevelState) (groupLevel, error) {
+	if !ls.Present {
+		return groupLevel{}, nil
+	}
+	pipe, err := features.PipelineFromState(ls.Pipe)
+	if err != nil {
+		return groupLevel{}, err
+	}
+	clf, err := ml.RestoreClassifier(ls.Clf)
+	if err != nil {
+		return groupLevel{}, err
+	}
+	if err := pipe.InstallSparseTable(ls.Sparse); err != nil {
+		return groupLevel{}, err
+	}
+	return groupLevel{pipe: pipe, clf: clf}, nil
+}
+
+// templateState converts the trained set into the store's exported state.
 func (d *Disassembler) templateState() (*store.TemplateState, error) {
 	if d.group.pipe == nil {
 		return nil, errors.New("core: cannot save an untrained disassembler")
 	}
-	toLevel := func(lvl groupLevel, what string) (store.LevelState, error) {
-		ls, err := snapshotLevel(lvl)
-		if err != nil || !ls.Present {
-			return store.LevelState{}, err
-		}
-		out := store.LevelState{Present: true, Pipe: ls.Pipe, Clf: ls.Clf}
-		t, err := lvl.pipe.SparseTable()
-		if err != nil {
-			return store.LevelState{}, fmt.Errorf("%s kernel table: %w", what, err)
-		}
-		out.Sparse = t
-		return out, nil
-	}
 	st := &store.TemplateState{HaveRegs: d.haveRegs}
 	var err error
-	if st.Group, err = toLevel(d.group, "group level"); err != nil {
+	if st.Group, err = snapshotLevel(d.group); err != nil {
 		return nil, fmt.Errorf("core: saving group level: %w", err)
 	}
 	for i := range d.instr {
-		if st.Instr[i], err = toLevel(d.instr[i], fmt.Sprintf("group %d level", i+1)); err != nil {
+		if st.Instr[i], err = snapshotLevel(d.instr[i]); err != nil {
 			return nil, fmt.Errorf("core: saving group %d level: %w", i+1, err)
 		}
 		st.InstrClass[i] = d.instrClass[i]
 	}
 	if d.haveRegs {
-		if st.Rd, err = toLevel(d.rd, "Rd level"); err != nil {
+		if st.Rd, err = snapshotLevel(d.rd); err != nil {
 			return nil, fmt.Errorf("core: saving Rd level: %w", err)
 		}
-		if st.Rr, err = toLevel(d.rr, "Rr level"); err != nil {
+		if st.Rr, err = snapshotLevel(d.rr); err != nil {
 			return nil, fmt.Errorf("core: saving Rr level: %w", err)
 		}
 	}
@@ -79,7 +107,10 @@ func (d *Disassembler) SaveStore(w io.Writer, opts store.Options) error {
 	return store.Write(w, st, opts)
 }
 
-// SaveStoreFile is SaveStore to a path (partial files are removed on error).
+// SaveStoreFile is SaveStore to a path. The file is replaced atomically
+// (store.WriteFile), so a server that has the old file mapped keeps reading
+// it intact, and a failed save leaves neither a partial file nor a changed
+// target.
 func (d *Disassembler) SaveStoreFile(path string, opts store.Options) error {
 	st, err := d.templateState()
 	if err != nil {
@@ -89,62 +120,100 @@ func (d *Disassembler) SaveStoreFile(path string, opts store.Options) error {
 }
 
 // disassemblerFromTemplateState rebuilds a Disassembler from materialized
-// store state, applying the same screening as the gob path: class tables
-// are validated against the ISA, every failure wraps ErrTemplateFormat, and
-// a persisted kernel table must match the fitted state it rides with.
+// store state. Every failure wraps ErrTemplateFormat and never yields a
+// partially initialized Disassembler: class tables index into avr.SpecOf at
+// classification time, so they are screened against the ISA first, and each
+// level must pass features.PipelineFromState and ml.RestoreClassifier.
 func disassemblerFromTemplateState(st *store.TemplateState) (*Disassembler, error) {
-	fromLevel := func(ls store.LevelState) (groupLevel, error) {
-		lvl, err := restoreLevel(levelState{Present: ls.Present, Pipe: ls.Pipe, Clf: ls.Clf})
-		if err != nil || !ls.Present {
-			return lvl, err
-		}
-		if ls.Sparse != nil {
-			if err := lvl.pipe.InstallSparseTable(ls.Sparse); err != nil {
-				return groupLevel{}, err
+	for i, table := range st.InstrClass {
+		for _, c := range table {
+			if !avr.ValidClass(c) {
+				return nil, fmt.Errorf("%w: group %d class table holds undefined class %d", ErrTemplateFormat, i+1, c)
 			}
 		}
-		return lvl, nil
 	}
-	d := &Disassembler{haveRegs: st.HaveRegs}
+	d := &Disassembler{haveRegs: st.HaveRegs, instrClass: st.InstrClass}
 	var err error
-	if d.group, err = fromLevel(st.Group); err != nil {
+	if d.group, err = restoreLevel(st.Group); err != nil {
 		return nil, fmt.Errorf("%w: restoring group level: %w", ErrTemplateFormat, err)
 	}
 	if d.group.pipe == nil {
 		return nil, fmt.Errorf("%w: file lacks a group level", ErrTemplateFormat)
 	}
 	for i := range d.instr {
-		if d.instr[i], err = fromLevel(st.Instr[i]); err != nil {
+		if d.instr[i], err = restoreLevel(st.Instr[i]); err != nil {
 			return nil, fmt.Errorf("%w: restoring group %d level: %w", ErrTemplateFormat, i+1, err)
 		}
-		for _, c := range st.InstrClass[i] {
-			if !avr.ValidClass(c) {
-				return nil, fmt.Errorf("%w: group %d class table holds undefined class %d", ErrTemplateFormat, i+1, c)
-			}
-		}
-		d.instrClass[i] = st.InstrClass[i]
 	}
 	if st.HaveRegs {
-		if d.rd, err = fromLevel(st.Rd); err != nil {
+		if d.rd, err = restoreLevel(st.Rd); err != nil {
 			return nil, fmt.Errorf("%w: restoring Rd level: %w", ErrTemplateFormat, err)
 		}
-		if d.rr, err = fromLevel(st.Rr); err != nil {
+		if d.rr, err = restoreLevel(st.Rr); err != nil {
 			return nil, fmt.Errorf("%w: restoring Rr level: %w", ErrTemplateFormat, err)
 		}
 	}
 	return d, nil
 }
 
-// Template is a two-phase handle on a template file of either format. Open
-// is cheap: a v4 file decodes only its header (shape questions — TraceLen,
-// Quantized — answer immediately); the matrices materialize on the first
-// Disassembler call and the result (or error) is remembered. For gob files
-// there is no header/payload split, so materialization happens eagerly at
-// OpenTemplate and Disassembler never fails afterwards.
+// screenHeader applies, from the eager header alone, the checks
+// disassemblerFromTemplateState makes after materialization, so a template
+// that could never decode fails at open rather than on its first request: a
+// group level must exist, and every level must use the one normalization
+// inference implements (features.PipelineConfig.CheckNorm).
+func screenHeader(hs *store.TemplateState) error {
+	if !hs.Group.Present || hs.Group.Pipe == nil || hs.Group.Pipe.TraceLen <= 0 {
+		return fmt.Errorf("%w: file lacks a group level", ErrTemplateFormat)
+	}
+	if err := screenNorm(hs.Group, hs.Rd, hs.Rr); err != nil {
+		return err
+	}
+	return screenNorm(hs.Instr[:]...)
+}
+
+// screenNorm applies features.PipelineConfig.CheckNorm to every present
+// level.
+func screenNorm(levels ...store.LevelState) error {
+	for _, ls := range levels {
+		if ls.Present && ls.Pipe != nil {
+			if err := ls.Pipe.Cfg.CheckNorm(); err != nil {
+				return fmt.Errorf("%w: %w", ErrTemplateFormat, err)
+			}
+		}
+	}
+	return nil
+}
+
+// Load reads a template set written by SaveStore and materializes it whole.
+// A defective file — a gob file from an older build, truncated or
+// bit-flipped bytes, a schema version this build does not know, class tables
+// holding undefined instruction classes, a plane-normalized level, or
+// section state that fails reconstruction — yields a descriptive error
+// wrapping ErrTemplateFormat and never a panic or a partially initialized
+// Disassembler.
+func Load(r io.Reader) (*Disassembler, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading template: %w", err)
+	}
+	f, err := store.OpenReaderAt(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTemplateFormat, err)
+	}
+	defer f.Close()
+	st, err := f.Template()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTemplateFormat, err)
+	}
+	return disassemblerFromTemplateState(st)
+}
+
+// Template is a two-phase handle on a template file. Open is cheap: only
+// the header is decoded (shape questions — TraceLen, Quantized — answer
+// immediately); the matrices materialize on the first Disassembler call and
+// the result (or error) is remembered.
 type Template struct {
-	format TemplateFormat
-	path   string
-	f      *store.File // v4 only
+	f *store.File
 
 	mu   sync.Mutex
 	done bool
@@ -152,61 +221,31 @@ type Template struct {
 	err  error
 }
 
-// OpenTemplate sniffs path's format and opens it. v4 files have their
-// header decoded and validated (bad files fail here, wrapping
-// ErrTemplateFormat); gob files are fully loaded — the legacy cost this
-// format exists to avoid, paid only for legacy files.
+// OpenTemplate opens path and decodes and screens its header. Bad files —
+// including gob files from older builds and plane-normalized templates —
+// fail here, wrapping ErrTemplateFormat.
 func OpenTemplate(path string) (*Template, error) {
-	fh, err := os.Open(path)
+	f, err := store.Open(path)
 	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	_, rerr := io.ReadFull(fh, magic[:])
-	fh.Close()
-	if rerr == nil && string(magic[:]) == store.Magic {
-		sf, err := store.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrTemplateFormat, err)
+		if errors.Is(err, store.ErrFormat) {
+			err = fmt.Errorf("%w: %w", ErrTemplateFormat, err)
 		}
-		hs := sf.HeaderState()
-		if !hs.Group.Present || hs.Group.Pipe == nil || hs.Group.Pipe.TraceLen <= 0 {
-			sf.Close()
-			return nil, fmt.Errorf("%w: file lacks a group level", ErrTemplateFormat)
-		}
-		return &Template{format: FormatV4, path: path, f: sf}, nil
-	}
-	t := &Template{format: FormatGob, path: path, done: true}
-	fh, err = os.Open(path)
-	if err != nil {
 		return nil, err
 	}
-	defer fh.Close()
-	if t.d, err = Load(fh); err != nil {
+	if err := screenHeader(f.HeaderState()); err != nil {
+		f.Close()
 		return nil, err
 	}
-	return t, nil
+	return &Template{f: f}, nil
 }
 
-// Format reports the file's on-disk format.
-func (t *Template) Format() TemplateFormat { return t.format }
-
-// Quantized reports whether a v4 file's matrix sections are float32-encoded.
-func (t *Template) Quantized() bool { return t.f != nil && t.f.Quantized() }
+// Quantized reports whether the file's matrix sections are float32-encoded.
+func (t *Template) Quantized() bool { return t.f.Quantized() }
 
 // TraceLen answers from the header alone — no sections are touched.
-func (t *Template) TraceLen() int {
-	if t.f != nil {
-		return t.f.HeaderState().Group.Pipe.TraceLen
-	}
-	if t.d != nil {
-		return t.d.TraceLen()
-	}
-	return 0
-}
+func (t *Template) TraceLen() int { return t.f.HeaderState().Group.Pipe.TraceLen }
 
-// Materialized reports whether the Disassembler has been built (always true
-// for gob files, which load whole).
+// Materialized reports whether the Disassembler has been built.
 func (t *Template) Materialized() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -214,13 +253,8 @@ func (t *Template) Materialized() bool {
 }
 
 // ResidentBytes reports the decoded section bytes currently attributed to
-// this handle (0 for gob files, whose whole decode is not section-tracked).
-func (t *Template) ResidentBytes() int64 {
-	if t.f == nil {
-		return 0
-	}
-	return t.f.ResidentBytes()
-}
+// this handle.
+func (t *Template) ResidentBytes() int64 { return t.f.ResidentBytes() }
 
 // Disassembler materializes the template on first call: every section is
 // loaded, CRC-checked and reattached, and the hierarchy is rebuilt with the
@@ -243,21 +277,19 @@ func (t *Template) Disassembler() (*Disassembler, error) {
 	return t.d, t.err
 }
 
-// Close releases the underlying store file (no-op for gob). A materialized
-// Disassembler stays valid — its state lives on the heap — but an
-// unmaterialized v4 handle can no longer materialize.
+// Close releases the underlying store file. It waits for a materialization
+// in progress, which may be reading the mapping. A materialized Disassembler
+// stays valid — its state lives on the heap — but an unmaterialized handle
+// can no longer materialize.
 func (t *Template) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.f == nil {
-		return nil
-	}
 	return t.f.Close()
 }
 
-// LoadFile loads a template of either format whole — the one-shot CLI path.
-// The two-phase Template handle is for servers that want the header now and
-// the matrices later.
+// LoadFile loads a template whole — the one-shot CLI path. The two-phase
+// Template handle is for servers that want the header now and the matrices
+// later.
 func LoadFile(path string) (*Disassembler, error) {
 	t, err := OpenTemplate(path)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
@@ -37,9 +38,6 @@ func TestStoreLazyEqualsEagerDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tpl.Close()
-	if tpl.Format() != FormatV4 {
-		t.Fatalf("format = %q, want v4", tpl.Format())
-	}
 	if tpl.Quantized() {
 		t.Fatal("unquantized save reports Quantized")
 	}
@@ -79,56 +77,54 @@ func TestStoreLazyEqualsEagerDecode(t *testing.T) {
 	}
 }
 
-// TestStoreConvertChain covers the migration path end to end: gob save →
-// LoadFile (sniffs gob) → v4 save → LoadFile (sniffs v4) with identical
-// decodes at every hop, plus the gob handle's eager semantics.
+// TestStoreConvertChain covers what `scdis convert` does: LoadFile of a v4
+// file, then SaveStoreFile over the same path. A plain re-save reproduces
+// the file byte for byte; a quantized one re-encodes it in place and still
+// decodes.
 func TestStoreConvertChain(t *testing.T) {
 	d, traces := sharedFixture(t)
 	want, err := d.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	path := saveV4(t, d, store.Options{})
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	convert := func(quantize bool) *Disassembler {
+		t.Helper()
+		loaded, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.SaveStoreFile(path, store.Options{Quantize: quantize}); err != nil {
+			t.Fatal(err)
+		}
+		tpl, err := OpenTemplate(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tpl.Close()
+		if tpl.Quantized() != quantize {
+			t.Fatalf("converted file Quantized = %v, want %v", tpl.Quantized(), quantize)
+		}
+		conv, err := tpl.Disassembler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conv
+	}
 
-	gobPath := filepath.Join(dir, "legacy.tpl")
-	f, err := os.Create(gobPath)
+	plain := convert(false)
+	back, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Save(f); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(back, orig) {
+		t.Fatal("a plain re-save changed the file bytes")
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// OpenTemplate on a gob file: format sniffed, loaded whole at open.
-	gt, err := OpenTemplate(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gt.Close()
-	if gt.Format() != FormatGob || !gt.Materialized() || gt.Quantized() {
-		t.Fatalf("gob handle: format=%q materialized=%v quantized=%v", gt.Format(), gt.Materialized(), gt.Quantized())
-	}
-	if gt.TraceLen() != d.TraceLen() {
-		t.Fatalf("gob handle TraceLen = %d, want %d", gt.TraceLen(), d.TraceLen())
-	}
-
-	// The conversion a `scdis convert` run performs.
-	loaded, err := LoadFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4Path := filepath.Join(dir, "converted.tpl")
-	if err := loaded.SaveStoreFile(v4Path, store.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	conv, err := LoadFile(v4Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := conv.Disassemble(traces)
+	got, err := plain.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +132,9 @@ func TestStoreConvertChain(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("converted decode %d = %+v, original %+v", i, got[i], want[i])
 		}
+	}
+	if decs, err := convert(true).Disassemble(traces); err != nil || len(decs) != len(traces) {
+		t.Fatalf("quantized conversion decoded %d of %d traces: %v", len(decs), len(traces), err)
 	}
 }
 
@@ -225,7 +224,7 @@ func TestStoreCorruptSectionFailsClosed(t *testing.T) {
 	}
 }
 
-// TestOpenTemplateRejectsDefectiveFiles covers the sniffing edge cases.
+// TestOpenTemplateRejectsDefectiveFiles covers the header-open edge cases.
 func TestOpenTemplateRejectsDefectiveFiles(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, b []byte) string {
@@ -238,13 +237,17 @@ func TestOpenTemplateRejectsDefectiveFiles(t *testing.T) {
 	if _, err := OpenTemplate(filepath.Join(dir, "missing.tpl")); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	// Garbage without the v4 magic routes to the gob loader.
+	// Garbage without the v4 magic fails the magic check.
 	if _, err := OpenTemplate(write("junk.tpl", []byte("junk template bytes"))); !errors.Is(err, ErrTemplateFormat) {
-		t.Fatalf("gob-routed junk: %v, want ErrTemplateFormat", err)
+		t.Fatalf("junk without the magic: %v, want ErrTemplateFormat", err)
 	}
 	// The v4 magic followed by garbage fails the store's screens.
 	if _, err := OpenTemplate(write("sct4.tpl", append([]byte(store.Magic), bytes.Repeat([]byte{0xAB}, 64)...))); !errors.Is(err, ErrTemplateFormat) {
-		t.Fatalf("v4-routed junk: %v, want ErrTemplateFormat", err)
+		t.Fatalf("junk behind the magic: %v, want ErrTemplateFormat", err)
+	}
+	// A well-formed file without a group level fails the header screen.
+	if _, err := OpenTemplate(write("bare.tpl", stateBytes(t, &store.TemplateState{}))); !errors.Is(err, ErrTemplateFormat) {
+		t.Fatalf("file without a group level: %v, want ErrTemplateFormat", err)
 	}
 }
 
@@ -264,6 +267,77 @@ func TestTemplateCloseBeforeMaterialize(t *testing.T) {
 	}
 	if !strings.Contains(strings.ToLower(headErr(tpl)), "closed") {
 		t.Fatalf("materialization-after-close error %q does not mention the close", headErr(tpl))
+	}
+}
+
+// TestTemplateCloseWaitsForMaterialize pins that Close is serialized with
+// materialization, which reads the mapped file: unmapping mid-read is a
+// fault Go cannot recover from. Holding the handle's lock stands in for a
+// materialization in progress; Close must not return until it is released.
+// Then Close races real materializations (under -race an unserialized Close
+// is a data race on the mapping). Either order is legal — the handle
+// materializes fully and decodes, or it refuses because it was closed first.
+func TestTemplateCloseWaitsForMaterialize(t *testing.T) {
+	d, traces := sharedFixture(t)
+	want, err := d.Disassemble(traces[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := saveV4(t, d, store.Options{})
+
+	tpl, err := OpenTemplate(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl.mu.Lock()
+	closed := make(chan error, 1)
+	go func() { closed <- tpl.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a materialization held the handle")
+	case <-time.After(100 * time.Millisecond):
+	}
+	tpl.mu.Unlock()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 8; i++ {
+		tpl, err := OpenTemplate(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := make(chan struct{})
+		type result struct {
+			d   *Disassembler
+			err error
+		}
+		done := make(chan result)
+		go func() {
+			close(started)
+			back, err := tpl.Disassembler()
+			done <- result{back, err}
+		}()
+		<-started
+		if err := tpl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		res := <-done
+		if res.err != nil {
+			if !strings.Contains(res.err.Error(), "closed") {
+				t.Fatalf("round %d: materialization racing Close failed with %v", i, res.err)
+			}
+			continue
+		}
+		got, err := res.d.Disassemble(traces[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("round %d: decode %d = %+v, want %+v", i, j, got[j], want[j])
+			}
+		}
 	}
 }
 

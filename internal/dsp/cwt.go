@@ -77,9 +77,8 @@ func (b BankConfig) Validate() error {
 
 // transformCount counts completed scalogram computations process-wide, as an
 // always-live registry counter (attached under "dsp.cwt.transforms" whenever
-// a registry is installed). The redundancy-elimination layer
-// (core.Disassembler's shared scalogram) asserts "exactly one CWT per trace"
-// by reading the delta.
+// a registry is installed). Inference never runs a full transform, so tests
+// read its delta to pin that decodes stay on the sparse path.
 var transformCount = obs.NewCounter()
 
 // dspMetrics holds the dsp instrument handles; the handles are nil (no-op)
@@ -113,15 +112,6 @@ func init() {
 		})
 	})
 }
-
-// TransformCount returns the cumulative number of scalogram computations
-// (Transform/TransformFlat calls, and per-trace items of the batch paths)
-// performed by all CWT instances since process start.
-//
-// Deprecated: the count now lives in the metrics registry as the
-// "dsp.cwt.transforms" counter; this shim remains for the equivalence tests
-// that pin the one-transform-per-trace invariant.
-func TransformCount() uint64 { return uint64(transformCount.Value()) }
 
 // cwtPlan caches the kernel spectra at one padded FFT length, so every trace
 // of the same length costs one forward FFT plus one inverse FFT per scale.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -96,26 +97,31 @@ func TestTransformFlatBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTransformCountHook verifies the instrumentation the redundancy tests
-// build on: one bump per trace, for both single and batch transforms.
+// TestTransformCountHook verifies the instrumentation the inference-path
+// tests build on: the dsp.cwt.transforms registry counter bumps once per
+// trace, for both single and batch transforms.
 func TestTransformCountHook(t *testing.T) {
+	defer obs.SetDefault(nil)
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	transforms := reg.Counter("dsp.cwt.transforms")
 	c, err := NewCWT(6, 2, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	x := randSignal(rng, 50)
-	before := TransformCount()
+	before := transforms.Value()
 	c.Transform(x)
 	c.TransformFlat(x)
-	if got := TransformCount() - before; got != 2 {
+	if got := transforms.Value() - before; got != 2 {
 		t.Fatalf("2 single transforms counted as %d", got)
 	}
-	before = TransformCount()
+	before = transforms.Value()
 	if _, err := c.TransformFlatBatch([][]float64{x, x, x}); err != nil {
 		t.Fatal(err)
 	}
-	if got := TransformCount() - before; got != 3 {
+	if got := transforms.Value() - before; got != 3 {
 		t.Fatalf("batch of 3 counted as %d", got)
 	}
 }

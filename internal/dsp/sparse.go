@@ -32,8 +32,8 @@ type Cell struct {
 // sparse path: always-live counters attached to the registry as
 // "dsp.cwt.sparse.transforms" and "dsp.cwt.sparse_cells". The sparse path
 // deliberately does NOT touch the full-transform counter, so the
-// one-full-CWT-per-trace assertions and the DESIGN §8 metric catalogue stay
-// truthful about which path ran.
+// no-full-CWT-at-inference assertions and the DESIGN §8 metric catalogue
+// stay truthful about which transform ran.
 var (
 	sparseTransformCount = obs.NewCounter()
 	sparseCellCount      = obs.NewCounter()
@@ -48,8 +48,8 @@ func init() {
 
 // SparseTransformCount returns the cumulative number of sparse evaluations
 // (Values/ValuesInto calls, and per-trace items of ValuesBatch) since process
-// start. Together with TransformCount it lets tests assert which path a
-// classification took.
+// start. Together with the dsp.cwt.transforms counter it lets tests assert
+// which transform a classification ran.
 func SparseTransformCount() uint64 { return uint64(sparseTransformCount.Value()) }
 
 // SparseCellCount returns the cumulative number of time–frequency cells

@@ -162,11 +162,11 @@ func TestSparseCountersNotFullCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full0, sp0, cells0 := TransformCount(), SparseTransformCount(), SparseCellCount()
+	full0, sp0, cells0 := transformCount.Value(), SparseTransformCount(), SparseCellCount()
 	if _, err := s.Values(x); err != nil {
 		t.Fatal(err)
 	}
-	if got := TransformCount() - full0; got != 0 {
+	if got := transformCount.Value() - full0; got != 0 {
 		t.Fatalf("sparse evaluation bumped the full-transform counter by %d", got)
 	}
 	if got := SparseTransformCount() - sp0; got != 1 {

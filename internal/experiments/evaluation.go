@@ -683,9 +683,6 @@ func MalwareObserved(sc Scale, onTrained func(*core.Disassembler) error) (*Malwa
 	if err != nil {
 		return nil, err
 	}
-	if err := d.SetSparseMode(sc.Sparse); err != nil {
-		return nil, err
-	}
 	if onTrained != nil {
 		if err := onTrained(d); err != nil {
 			return nil, err

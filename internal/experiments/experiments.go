@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"repro/internal/avr"
-	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/power"
@@ -28,10 +27,6 @@ type Scale struct {
 	TestTraces       int     // test traces per class for field scenarios
 	Severity         float64 // field-environment severity (Table 3/4)
 	Seed             uint64
-	// Sparse picks the inference path for the experiments that classify
-	// through a core.Disassembler (the malware case study). The zero value
-	// is SparseAuto.
-	Sparse core.SparseMode
 }
 
 // DefaultScale finishes each experiment in roughly a minute on a laptop.

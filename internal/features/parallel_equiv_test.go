@@ -103,31 +103,20 @@ func TestFitPipelineCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestExtractFromScalogramMatchesExtract checks the shared-scalogram path is
-// exactly the per-call path: RawScalogram + ExtractFromScalogram == Extract,
-// and likewise for pair vectors, for both normalization regimes.
+// TestExtractFromScalogramMatchesExtract checks the shared-scalogram path
+// the experiments vote with is exactly the per-call path: RawScalogram +
+// PairVectorFromScalogram == PairVector, for both normalization regimes.
+// (The scalogram-sharing decode this test was named for is gone; inference
+// is sparse-only and pinned against Extract by TestExtractSparseMatchesFull.)
 func TestExtractFromScalogramMatchesExtract(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	for _, cfg := range []PipelineConfig{DefaultPipelineConfig(), CSAPipelineConfig()} {
 		cfg.NumComponents = 4
 		pl, traces := fitAt(t, 1, cfg)
 		for _, tr := range traces[:6] {
-			want, err := pl.Extract(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
 			flat, err := pl.RawScalogram(tr)
 			if err != nil {
 				t.Fatal(err)
-			}
-			got, err := pl.ExtractFromScalogram(flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range want {
-				if want[j] != got[j] {
-					t.Fatalf("ExtractFromScalogram[%d] = %v, Extract = %v", j, got[j], want[j])
-				}
 			}
 			for p := 0; p < pl.PairCount(); p++ {
 				wv, err := pl.PairVector(p, tr, 3)
@@ -145,7 +134,7 @@ func TestExtractFromScalogramMatchesExtract(t *testing.T) {
 				}
 			}
 		}
-		if _, err := pl.ExtractFromScalogram(make([]float64, 3)); err == nil {
+		if _, err := pl.PairVectorFromScalogram(0, make([]float64, 3), 0); err == nil {
 			t.Fatal("wrong-size scalogram should fail")
 		}
 	}

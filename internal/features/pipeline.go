@@ -49,24 +49,24 @@ func init() {
 	})
 }
 
-// NormMode selects how PerTraceNorm is applied.
+// NormMode is the persisted marker of how PerTraceNorm is applied. NormTrace
+// is the only mode this build fits or decodes: the zero value is what
+// templates fitted by older builds carry for the retired scalogram-plane
+// normalization, whose moments span the whole Scales×TraceLen plane and so
+// cannot be evaluated per cell. Such a configuration is refused (see
+// PipelineConfig.CheckNorm) instead of decoding with the wrong
+// normalization.
 type NormMode int
 
-const (
-	// NormScalogram is the legacy covariate-shift normalization: the
-	// scalogram plane is standardized by its own mean/std. Because the
-	// moments are taken over all Scales×TraceLen cells, this mode requires
-	// the full CWT at inference — templates fitted with it cannot use the
-	// sparse path. The zero value, so states persisted before NormMode
-	// existed keep their exact numerics.
-	NormScalogram NormMode = iota
-	// NormTrace standardizes the trace in the time domain *before* the CWT.
-	// The CWT is linear, so a per-trace gain/offset is cancelled exactly —
-	// same covariate-shift rationale as NormScalogram — while the
-	// normalization cost is O(TraceLen) and independent of the scalogram,
-	// which is what makes sparse per-cell inference possible.
-	NormTrace
-)
+// NormTrace standardizes the trace in the time domain *before* the CWT. The
+// CWT is linear, so a per-trace gain/offset is cancelled exactly, and the
+// normalization cost is O(TraceLen) and independent of the scalogram —
+// which is what makes sparse per-cell inference possible.
+const NormTrace NormMode = 1
+
+// ErrNormMode is wrapped into the error for a per-trace-normalized
+// configuration whose NormMode is not NormTrace.
+var ErrNormMode = errors.New("features: per-trace normalization must be NormTrace (scalogram-plane templates from older builds are no longer supported; retrain)")
 
 // PipelineConfig controls the end-to-end feature extraction of Fig. 1:
 // CWT → KL selection → normalization → PCA.
@@ -84,16 +84,17 @@ type PipelineConfig struct {
 	TopPerPair int
 	// NumComponents is the PCA output dimensionality.
 	NumComponents int
-	// PerTraceNorm standardizes each trace's CWT scalogram by its own
-	// mean/std before any statistics, masks, or feature values are taken
-	// from it — the covariate shift adaptation normalization. A program- or
-	// device-level gain/offset moves every coefficient of a trace together,
-	// so this normalization cancels it exactly; the not-varying masks are
-	// then computed on shift-free data and keep the informative points.
+	// PerTraceNorm standardizes each trace by its own mean/std (NormTrace,
+	// before the CWT) before any statistics, masks, or feature values are
+	// taken from it — the covariate shift adaptation normalization. A
+	// program- or device-level gain/offset moves every sample of a trace
+	// together, so this normalization cancels it exactly; the not-varying
+	// masks are then computed on shift-free data and keep the informative
+	// points.
 	PerTraceNorm bool
-	// NormMode picks the PerTraceNorm mechanism (scalogram-plane vs
-	// time-domain); ignored when PerTraceNorm is off. See NormScalogram /
-	// NormTrace.
+	// NormMode is the persisted marker of the PerTraceNorm mechanism.
+	// FitPipeline sets it to NormTrace when PerTraceNorm is on; callers
+	// leave it zero.
 	NormMode NormMode
 	// Standardize applies a training-set z-score before PCA (Fig. 1's
 	// normalization stage).
@@ -117,19 +118,26 @@ func DefaultPipelineConfig() PipelineConfig {
 }
 
 // CSAPipelineConfig returns the covariate-shift-adapted configuration of
-// Section 5.5: tighter KLth and per-trace normalization. Since the sparse
-// inference work the normalization is NormTrace (time-domain) — it cancels a
-// per-trace gain/offset exactly like the plane normalization did, and keeps
-// the fitted template eligible for sparse per-cell inference. Templates
-// trained by older builds carry NormScalogram and keep their numerics (and
-// the full CWT path).
+// Section 5.5: tighter KLth and per-trace normalization in the time domain
+// (NormTrace), which cancels a per-trace gain/offset exactly and keeps the
+// fitted template eligible for sparse per-cell inference.
 func CSAPipelineConfig() PipelineConfig {
 	cfg := DefaultPipelineConfig()
 	cfg.UseMask = true
 	cfg.KLth = 0.0005
 	cfg.PerTraceNorm = true
-	cfg.NormMode = NormTrace
 	return cfg
+}
+
+// CheckNorm rejects a persisted configuration that asks for per-trace
+// normalization by any mechanism other than NormTrace. PipelineFromState
+// and the template-store header screen apply it, so a plane-normalized
+// template fails closed at load.
+func (c PipelineConfig) CheckNorm() error {
+	if c.PerTraceNorm && c.NormMode != NormTrace {
+		return fmt.Errorf("%w: NormMode %d", ErrNormMode, c.NormMode)
+	}
+	return nil
 }
 
 // MaxScalogramCacheBytes bounds the memory FitPipeline may spend retaining
@@ -143,7 +151,7 @@ var MaxScalogramCacheBytes = 512 << 20
 // fitted once on labeled training traces and then applied to any trace.
 //
 // Concurrency: a fitted Pipeline is immutable, so Extract, ExtractAll,
-// ExtractFromScalogram, PairVector and friends are safe for concurrent use.
+// ExtractSparse, PairVector and friends are safe for concurrent use.
 // FitPipeline itself parallelizes its CWT, pairwise-selection and feature
 // passes over the parallel.Workers() pool; its result is identical (bitwise)
 // to a single-worker run because every parallel loop writes index-owned
@@ -195,6 +203,9 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	if nClasses < 2 {
 		return nil, fmt.Errorf("features: FitPipeline needs >= 2 classes, got %d", nClasses)
 	}
+	if cfg.PerTraceNorm {
+		cfg.NormMode = NormTrace // the one mechanism inference implements
+	}
 	sel, err := NewSelectorBank(len(traces[0]), cfg.Bank)
 	if err != nil {
 		return nil, err
@@ -228,12 +239,12 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	traceMoments := NewPointStats(len(driftFeatureNames))
 	pl := &Pipeline{cfg: cfg, sel: sel, nClasses: nClasses}
 	n := len(traces)
-	// In NormTrace mode the covariate-shift normalization happens in the time
+	// The covariate-shift normalization (NormTrace) happens in the time
 	// domain, before any CWT: the statistics, masks and selection all see
 	// scalograms of standardized traces. The caller's traces are never
 	// mutated; the drift baseline below still reads the raw traces.
 	input := traces
-	if pl.needsTraceNorm() {
+	if cfg.PerTraceNorm {
 		input = make([][]float64, n)
 		parallel.For(n, func(k int) {
 			input[k] = stats.NormalizeTrace(traces[k])
@@ -269,11 +280,6 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 				statsSpan.End()
 				return nil, err
 			}
-		}
-		if cfg.PerTraceNorm && cfg.NormMode == NormScalogram {
-			parallel.For(len(sub), func(k int) {
-				stats.NormalizeTraceInto(sub[k], sub[k])
-			})
 		}
 		for i := lo; i < hi; i++ {
 			flat := sub[i-lo]
@@ -438,26 +444,18 @@ func observeSince(h *obs.Histogram, start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// needsTraceNorm reports whether this pipeline standardizes the trace in the
-// time domain before the CWT (NormTrace covariate-shift adaptation).
-func (pl *Pipeline) needsTraceNorm() bool {
-	return pl.cfg.PerTraceNorm && pl.cfg.NormMode == NormTrace
-}
-
-// RawScalogram computes the flattened CWT scalogram of a trace — the shared
-// representation every hierarchy level of a Disassembler extracts from. Pass
-// it to ExtractFromScalogram / PairVectorFromScalogram of any pipeline fitted
-// for the same trace length, bank and NormMode. In NormScalogram mode the
-// plane is un-normalized (the consuming pipeline applies CSA on the fly, so
-// differently configured pipelines can share one scalogram); in NormTrace
-// mode the trace is standardized first — the CWT magnitude is not linear in
+// RawScalogram computes the flattened CWT scalogram of a trace, standardized
+// first when the pipeline uses NormTrace (the CWT magnitude is not linear in
 // the trace's affine parameters, so the normalization cannot be deferred past
-// the transform.
+// the transform). It is the full-CWT representation training, the
+// experiments and the sparse-path oracle read points from; pass it to
+// PairVectorFromScalogram of any pipeline fitted for the same trace length,
+// bank and normalization.
 func (pl *Pipeline) RawScalogram(trace []float64) ([]float64, error) {
 	if len(trace) != pl.sel.TraceLen {
 		return nil, fmt.Errorf("features: trace length %d, want %d", len(trace), pl.sel.TraceLen)
 	}
-	if pl.needsTraceNorm() {
+	if pl.cfg.PerTraceNorm {
 		return pl.sel.CWT.TransformFlat(stats.NormalizeTrace(trace)), nil
 	}
 	return pl.sel.CWT.TransformFlat(trace), nil
@@ -473,28 +471,13 @@ func (pl *Pipeline) pointsFromNormalized(flat []float64) []float64 {
 	return out
 }
 
-// rawFeaturesFromScalogram extracts the unified DNVP values from a scalogram
-// produced by RawScalogram. In NormScalogram mode the per-trace normalization
-// is applied on the fly — (v − mean)/std over the full plane, evaluated only
-// at the selected points, bit-identical to normalizing the whole plane first.
-// In NormTrace mode the normalization already happened in the time domain, so
-// the points are read directly.
+// rawFeaturesFromScalogram reads the unified DNVP values out of a scalogram
+// produced by RawScalogram (already normalized in the time domain).
 func (pl *Pipeline) rawFeaturesFromScalogram(flat []float64) ([]float64, error) {
 	if len(flat) != pl.sel.numPoints() {
 		return nil, fmt.Errorf("features: scalogram length %d, want %d", len(flat), pl.sel.numPoints())
 	}
-	out := make([]float64, len(pl.Points))
-	if pl.cfg.PerTraceNorm && pl.cfg.NormMode == NormScalogram {
-		m, sd := stats.TraceNormParams(flat)
-		for i, p := range pl.Points {
-			out[i] = (flat[pl.sel.flatIndex(p)] - m) / sd
-		}
-		return out, nil
-	}
-	for i, p := range pl.Points {
-		out[i] = flat[pl.sel.flatIndex(p)]
-	}
-	return out, nil
+	return pl.pointsFromNormalized(flat), nil
 }
 
 // rawFeatures extracts the unified DNVP values of one trace (one CWT).
@@ -521,19 +504,6 @@ func (pl *Pipeline) finishFeatures(f []float64) ([]float64, error) {
 // Extract maps one trace to its final classifier input.
 func (pl *Pipeline) Extract(trace []float64) ([]float64, error) {
 	f, err := pl.rawFeatures(trace)
-	if err != nil {
-		return nil, err
-	}
-	return pl.finishFeatures(f)
-}
-
-// ExtractFromScalogram maps a precomputed raw scalogram (see RawScalogram)
-// to the final classifier input without re-running the CWT. This is the
-// zero-redundancy path the hierarchical Disassembler classifies through:
-// one scalogram per trace, shared by the group, instruction, Rd and Rr
-// pipelines.
-func (pl *Pipeline) ExtractFromScalogram(flat []float64) ([]float64, error) {
-	f, err := pl.rawFeaturesFromScalogram(flat)
 	if err != nil {
 		return nil, err
 	}

@@ -77,14 +77,9 @@ func (st *PipelineState) CheckComplete() error {
 }
 
 // SparseTable snapshots the pipeline's sparse per-cell kernel table for
-// persistence, building the evaluator if it has not run yet. Pipelines that
-// cannot take the sparse path (NormScalogram) return (nil, nil): there is
-// nothing to persist, not an error.
+// persistence, building the evaluator if it has not run yet.
 func (pl *Pipeline) SparseTable() (*dsp.SparseTable, error) {
 	sp, err := pl.sparseEval()
-	if errors.Is(err, ErrSparseIncapable) {
-		return nil, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +96,6 @@ func (pl *Pipeline) SparseTable() (*dsp.SparseTable, error) {
 func (pl *Pipeline) InstallSparseTable(t *dsp.SparseTable) error {
 	if t == nil {
 		return nil
-	}
-	if !pl.SparseCapable() {
-		return errors.New("features: sparse kernel table on a pipeline that cannot take the sparse path")
 	}
 	sp, err := dsp.SparseFromTable(t)
 	if err != nil {

@@ -25,9 +25,9 @@ func fitTestPipeline(t *testing.T, cfg PipelineConfig) *Pipeline {
 }
 
 // TestExtractSparseMatchesFull is the tentpole property: on any finite trace,
-// ExtractSparse must agree with the full-FFT path — both the raw composition
-// ExtractFromScalogram(RawScalogram(trace)) and plain Extract — within
-// testkit.CWTTol, for every sparse-capable normalization configuration.
+// ExtractSparse — the inference path — must agree with the full-FFT Extract
+// within testkit.CWTTol, for every normalization configuration, and evaluate
+// exactly the unified point set.
 func TestExtractSparseMatchesFull(t *testing.T) {
 	configs := map[string]PipelineConfig{
 		"no-norm":    DefaultPipelineConfig(),
@@ -36,20 +36,9 @@ func TestExtractSparseMatchesFull(t *testing.T) {
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			pl := fitTestPipeline(t, cfg)
-			if !pl.SparseCapable() {
-				t.Fatalf("config %s should be sparse-capable", name)
-			}
 			testkit.Check(t, testkit.CheckConfig{Runs: 16}, func(g *testkit.G) error {
 				trace := g.Trace(pl.TraceLen())
-				flat, err := pl.RawScalogram(trace)
-				if err != nil {
-					return err
-				}
-				full, err := pl.ExtractFromScalogram(flat)
-				if err != nil {
-					return err
-				}
-				direct, err := pl.Extract(trace)
+				full, err := pl.Extract(trace)
 				if err != nil {
 					return err
 				}
@@ -62,14 +51,18 @@ func TestExtractSparseMatchesFull(t *testing.T) {
 				}
 				for i := range sparse {
 					if !testkit.Close(sparse[i], full[i], testkit.CWTTol, testkit.CWTTol) {
-						return fmt.Errorf("feature %d: sparse %g vs scalogram-path %g", i, sparse[i], full[i])
-					}
-					if !testkit.Close(sparse[i], direct[i], testkit.CWTTol, testkit.CWTTol) {
-						return fmt.Errorf("feature %d: sparse %g vs Extract %g", i, sparse[i], direct[i])
+						return fmt.Errorf("feature %d: sparse %g vs Extract %g", i, sparse[i], full[i])
 					}
 				}
 				return nil
 			})
+			cells, err := pl.SparseCells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cells != len(pl.Points) {
+				t.Fatalf("SparseCells = %d, want %d", cells, len(pl.Points))
+			}
 		})
 	}
 }
@@ -117,72 +110,51 @@ func TestSparseEdgeCellsMatchScalogram(t *testing.T) {
 	})
 }
 
-// TestPairVectorSparseMatchesFull pins agreement of the pair-specific
-// feature vectors across the two paths, with and without truncation.
-func TestPairVectorSparseMatchesFull(t *testing.T) {
+// TestExtractSparseIncapable pins the fail-closed contract for the one
+// configuration the sparse path cannot serve, the retired scalogram-plane
+// normalization: FitPipeline marks every per-trace-normalized pipeline
+// NormTrace, and a persisted state whose NormMode is anything else is
+// refused by PipelineFromState — it never decodes with the wrong
+// normalization.
+func TestExtractSparseIncapable(t *testing.T) {
 	pl := fitTestPipeline(t, CSAPipelineConfig())
-	rng := rand.New(rand.NewSource(13))
-	trace := synthTrace(rng, 0, 0.2)
-	for pair := range pl.Pairs {
-		for _, maxVars := range []int{0, 2} {
-			full, err := pl.PairVector(pair, trace, maxVars)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparse, err := pl.PairVectorSparse(pair, trace, maxVars)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testkit.AllClose(t, sparse, full, testkit.CWTTol, testkit.CWTTol,
-				fmt.Sprintf("pair %d maxVars %d", pair, maxVars))
+	st, err := pl.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cfg.NormMode != NormTrace {
+		t.Fatalf("fitted per-trace-normalized pipeline persists NormMode %d, want NormTrace", st.Cfg.NormMode)
+	}
+	for _, mode := range []NormMode{0, NormTrace + 1} {
+		plane := *st
+		plane.Cfg.NormMode = mode
+		if _, err := PipelineFromState(&plane); !errors.Is(err, ErrNormMode) {
+			t.Fatalf("PipelineFromState with NormMode %d: err = %v, want ErrNormMode", mode, err)
 		}
 	}
-	if _, err := pl.PairVectorSparse(len(pl.Pairs), trace, 0); err == nil {
-		t.Fatal("out-of-range pair should fail")
+	// Without per-trace normalization the marker is irrelevant.
+	off := *st
+	off.Cfg.PerTraceNorm, off.Cfg.NormMode = false, 0
+	if _, err := PipelineFromState(&off); err != nil {
+		t.Fatalf("un-normalized state refused: %v", err)
 	}
 }
 
-// TestExtractSparseIncapable requires the legacy scalogram-plane
-// normalization to refuse the sparse path with the typed sentinel — those
-// templates must keep classifying through the full CWT.
-func TestExtractSparseIncapable(t *testing.T) {
-	cfg := CSAPipelineConfig()
-	cfg.NormMode = NormScalogram
-	pl := fitTestPipeline(t, cfg)
-	if pl.SparseCapable() {
-		t.Fatal("NormScalogram pipeline must not be sparse-capable")
-	}
-	rng := rand.New(rand.NewSource(3))
-	trace := synthTrace(rng, 0, 0)
-	if _, err := pl.ExtractSparse(trace); !errors.Is(err, ErrSparseIncapable) {
-		t.Fatalf("ExtractSparse error = %v, want ErrSparseIncapable", err)
-	}
-	if _, err := pl.ExtractSparseAll([][]float64{trace}); !errors.Is(err, ErrSparseIncapable) {
-		t.Fatalf("ExtractSparseAll error = %v, want ErrSparseIncapable", err)
-	}
-	if _, err := pl.SparseCells(); !errors.Is(err, ErrSparseIncapable) {
-		t.Fatalf("SparseCells error = %v, want ErrSparseIncapable", err)
-	}
-	// The full path still works.
-	if _, err := pl.Extract(trace); err != nil {
-		t.Fatalf("full-path Extract failed: %v", err)
-	}
-}
-
-// TestExtractSparseAllMatchesSerial requires the batch API to be bitwise
-// identical to per-trace calls at any worker count, and SparseCells to report
-// the unified point-set size.
+// TestExtractSparseAllMatchesSerial requires sparse extraction of a batch on
+// the worker pool — as Disassemble runs it, every worker sharing one
+// pipeline and its lazily built evaluator — to be bitwise identical to
+// serial per-trace calls at any worker count.
 func TestExtractSparseAllMatchesSerial(t *testing.T) {
 	defer parallel.SetWorkers(0)
-	pl := fitTestPipeline(t, CSAPipelineConfig())
 	rng := rand.New(rand.NewSource(41))
 	var traces [][]float64
 	for i := 0; i < 9; i++ {
 		traces = append(traces, synthTrace(rng, i%2, 0.1*float64(i)))
 	}
 	want := make([][]float64, len(traces))
+	serial := fitTestPipeline(t, CSAPipelineConfig())
 	for i, tr := range traces {
-		f, err := pl.ExtractSparse(tr)
+		f, err := serial.ExtractSparse(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,17 +162,15 @@ func TestExtractSparseAllMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		parallel.SetWorkers(workers)
-		got, err := pl.ExtractSparseAll(traces)
-		if err != nil {
+		pl := fitTestPipeline(t, CSAPipelineConfig()) // fresh: first use races to build the evaluator
+		got := make([][]float64, len(traces))
+		if err := parallel.ForErr(len(traces), func(i int) error {
+			f, err := pl.ExtractSparse(traces[i])
+			got[i] = f
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
-		testkit.ExactEqual2D(t, got, want, fmt.Sprintf("ExtractSparseAll at %d workers", workers))
-	}
-	cells, err := pl.SparseCells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cells != len(pl.Points) {
-		t.Fatalf("SparseCells = %d, want %d", cells, len(pl.Points))
+		testkit.ExactEqual2D(t, got, want, fmt.Sprintf("sparse batch at %d workers", workers))
 	}
 }

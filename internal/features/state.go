@@ -18,8 +18,8 @@ type PipelineState struct {
 	Z        *stats.ZScoreNormalizer // nil when standardization is off
 	PCA      *PCA
 	NClasses int
-	// Baseline is the training-time drift reference; nil in states restored
-	// from templates predating drift support (format version 1).
+	// Baseline is the training-time drift reference; nil in states converted
+	// from templates that predate drift support.
 	Baseline *FeatureBaseline
 }
 
@@ -42,17 +42,19 @@ func (pl *Pipeline) State() (*PipelineState, error) {
 }
 
 // PipelineFromState reconstructs a fitted pipeline. The CWT is rebuilt
-// deterministically from the persisted bank configuration (states predating
-// BankConfig decode to the zero value, which resolves to the paper's bank),
-// so sparse inference kernels are provably built from the bank the template
-// was fit with.
+// deterministically from the persisted bank configuration (the zero value
+// resolves to the paper's bank), so sparse inference kernels are provably
+// built from the bank the template was fit with. A per-trace-normalized
+// state whose NormMode is not NormTrace is refused (see
+// PipelineConfig.CheckNorm).
 func PipelineFromState(st *PipelineState) (*Pipeline, error) {
 	if st == nil || st.PCA == nil || len(st.Points) == 0 || st.TraceLen <= 0 {
 		return nil, errors.New("features: invalid pipeline state")
 	}
 	// The projection applies Components·(x−Mean) without re-checking shapes,
-	// so a state of uncontrolled origin (corrupted gob, a store header whose
-	// sections never materialized) must be rejected here, not at Extract.
+	// so a state of uncontrolled origin (a corrupted file, a store header
+	// whose sections never materialized) must be rejected here, not at
+	// Extract.
 	comp := st.PCA.Components
 	if comp == nil || comp.Rows < 1 || comp.Cols < 1 || len(comp.Data) != comp.Rows*comp.Cols {
 		return nil, errors.New("features: invalid pipeline state: PCA basis missing or misshapen")
@@ -62,6 +64,9 @@ func PipelineFromState(st *PipelineState) (*Pipeline, error) {
 	}
 	if st.Z != nil && len(st.Z.Means) != len(st.Z.Stds) {
 		return nil, errors.New("features: invalid pipeline state: z-score moments disagree")
+	}
+	if err := st.Cfg.CheckNorm(); err != nil {
+		return nil, fmt.Errorf("features: invalid pipeline state: %w", err)
 	}
 	sel, err := NewSelectorBank(st.TraceLen, st.Cfg.Bank)
 	if err != nil {

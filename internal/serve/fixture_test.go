@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,19 +11,17 @@ import (
 
 	"repro/internal/avr"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/power"
+	"repro/internal/store"
 )
 
-// The shared fixture trains two small disassemblers once per test process:
-// a current (v3, sparse-capable) template and a legacy-normalization one
-// (NormScalogram, sparse-incapable — the on-disk shape of old template
-// files), plus a matched trace batch and its serial decode as the reference
-// labels every handler response must reproduce bitwise.
+// The shared fixture trains a small disassembler once per test process and
+// keeps it as v4 template bytes, plus a matched trace batch and its serial
+// decode as the reference labels every handler response must reproduce
+// bitwise.
 var fx struct {
 	once     sync.Once
 	tpl      []byte
-	legacy   []byte
 	traces   [][]float64
 	want     []string
 	traceLen int
@@ -50,30 +49,12 @@ func fixture(t *testing.T) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
+		if err := d.SaveStore(&buf, store.Options{}); err != nil {
 			fx.err = err
 			return
 		}
 		fx.tpl = buf.Bytes()
 		fx.traceLen = d.TraceLen()
-
-		legacyCfg := cfg
-		legacyCfg.Pipeline.NormMode = features.NormScalogram
-		ld, err := core.TrainSubset(legacyCfg, fixtureClasses, false)
-		if err != nil {
-			fx.err = err
-			return
-		}
-		if ld.SparseCapable() {
-			fx.err = errTestFixture("legacy-normalization template is sparse-capable; fixture premise broken")
-			return
-		}
-		var lbuf bytes.Buffer
-		if err := ld.Save(&lbuf); err != nil {
-			fx.err = err
-			return
-		}
-		fx.legacy = lbuf.Bytes()
 
 		camp, err := power.NewCampaign(cfg.Power, 0, 7117)
 		if err != nil {
@@ -106,10 +87,6 @@ func fixture(t *testing.T) {
 	}
 }
 
-type errTestFixture string
-
-func (e errTestFixture) Error() string { return string(e) }
-
 // writeTemplate drops the fixture template bytes into dir under name.tpl.
 func writeTemplate(t *testing.T, dir, name string, data []byte) string {
 	t.Helper()
@@ -118,6 +95,48 @@ func writeTemplate(t *testing.T, dir, name string, data []byte) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// legacyGobTemplate is a gob stream of the shape older builds saved
+// templates in (schemas v1–v3 began with the format version).
+func legacyGobTemplate(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct{ Version int }{3}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// planeNormalizedTemplate rewrites the fixture template with the retired
+// scalogram-plane NormMode on every per-trace-normalized level — the shape
+// an old CSA template converted to v4 has.
+func planeNormalizedTemplate(t *testing.T) []byte {
+	t.Helper()
+	fixture(t)
+	f, err := store.OpenReaderAt(bytes.NewReader(fx.tpl), int64(len(fx.tpl)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Template()
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := []*store.LevelState{&st.Group, &st.Rd, &st.Rr}
+	for i := range st.Instr {
+		levels = append(levels, &st.Instr[i])
+	}
+	for _, ls := range levels {
+		if ls.Present && ls.Pipe.Cfg.PerTraceNorm {
+			ls.Pipe.Cfg.NormMode = 0
+		}
+	}
+	var buf bytes.Buffer
+	if err := store.Write(&buf, st, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // newTestRegistry builds a registry over a fresh temp dir holding the

@@ -38,41 +38,36 @@ var ErrUnknownTemplate = errors.New("serve: unknown template")
 
 // RegistryConfig tunes how templates are loaded.
 type RegistryConfig struct {
-	// Sparse is the preferred inference path for every template. SparseOn
-	// degrades per template to the full-CWT path (with a logged warning and
-	// the core.sparse.fallback counter) when a legacy v1/v2 file cannot
-	// support it — one old file must not fail the whole registry.
-	Sparse core.SparseMode
+	// Sparse once chose the inference path per template.
+	//
+	// Deprecated: sparse per-cell extraction is the only inference path;
+	// the field is ignored.
+	Sparse int
 	// Drift configures each template's covariate-shift monitor. Templates
-	// without a baseline (format v1) serve without one.
+	// without a baseline serve without one.
 	Drift obs.DriftConfig
 	// Decisions, when non-nil, receives every decision of every template
 	// (sampled inside the log). The log keeps its own sequence numbering.
 	Decisions *obs.DecisionLog
-	// Logger receives load/reload/fallback notices; nil uses slog.Default().
+	// Logger receives load/reload notices; nil uses slog.Default().
 	Logger *slog.Logger
 }
 
 // loaded is the live state of one template once its file has been opened.
-// Loading is two-phase since schema v4: Get opens the file and decodes only
-// its header (cheap — trace length and format answer immediately), and the
-// matrix sections materialize into a wired Disassembler on the first decode
-// via disassembler(). Gob files have no header/payload split, so they
-// materialize eagerly inside load(), preserving the legacy behavior of
-// surfacing every defect as a load error.
+// Loading is two-phase: Get opens the file and decodes only its header
+// (cheap — the trace length answers immediately, and a file that could
+// never decode is refused here), and the matrix sections materialize into a
+// wired Disassembler on the first decode via disassembler().
 type loaded struct {
 	reg      *Registry
 	name     string
 	tpl      *core.Template
 	traceLen int
-	format   core.TemplateFormat
 	openedAt time.Time
 
 	mu             sync.Mutex
 	d              *core.Disassembler
 	drift          *obs.DriftMonitor
-	sparse         bool // resolved path (SparseEnabled), not the requested mode
-	fellBack       bool // requested sparse-on degraded to the full path
 	matErr         error
 	materializedAt time.Time
 }
@@ -84,10 +79,11 @@ func (st *loaded) disassembler() (*core.Disassembler, error) {
 	return st.reg.materialize(st)
 }
 
-// close releases the template's mapping or descriptor. A Disassembler
-// already materialized stays valid (its state lives on the heap); an
-// unmaterialized handle can no longer materialize — an in-flight request
-// racing a reload sees one clean 503 and retries onto the fresh file.
+// close releases the template's mapping or descriptor, waiting for a
+// materialization in progress to finish reading it. A Disassembler already
+// materialized stays valid (its state lives on the heap); an unmaterialized
+// handle can no longer materialize — an in-flight request racing a reload
+// sees one clean 503 and retries onto the fresh file.
 func (st *loaded) close() {
 	st.tpl.Close()
 }
@@ -232,35 +228,24 @@ func (r *Registry) Get(name string) (*loaded, error) {
 	return e.state, e.loadErr
 }
 
-// load opens one template file. Called with the entry lock held. v4 files
-// stop at the header — the cold-start path a registry of N devices × M
-// firmware revisions needs; gob files decode whole here, as they always
-// did, so their defects keep surfacing as load errors.
+// load opens one template file, stopping at the header — the cold-start
+// path a registry of N devices × M firmware revisions needs. Called with the
+// entry lock held. A gob file from an older build or a plane-normalized
+// template fails here, as a per-template load error.
 func (r *Registry) load(e *entry) (*loaded, error) {
 	tpl, err := core.OpenTemplate(e.path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading template %q: %w", e.name, err)
 	}
-	st := &loaded{
-		reg: r, name: e.name, tpl: tpl,
-		traceLen: tpl.TraceLen(), format: tpl.Format(), openedAt: time.Now(),
-	}
-	if tpl.Format() == core.FormatGob {
-		if _, err := r.materialize(st); err != nil {
-			tpl.Close()
-			return nil, err
-		}
-		return st, nil
-	}
-	r.log.Info("template opened", "template", e.name, "format", string(st.format),
-		"trace_len", st.traceLen, "quantized", tpl.Quantized())
+	st := &loaded{reg: r, name: e.name, tpl: tpl, traceLen: tpl.TraceLen(), openedAt: time.Now()}
+	r.log.Info("template opened", "template", e.name, "trace_len", st.traceLen, "quantized", tpl.Quantized())
 	return st, nil
 }
 
 // materialize builds and wires the Disassembler on first use: sections are
-// loaded and CRC-checked, the preferred sparse mode applied, and the drift
-// monitor and decision observer attached. Both the result and a failure are
-// remembered for the handle's lifetime.
+// loaded and CRC-checked, and the drift monitor and decision observer
+// attached. Both the result and a failure are remembered for the handle's
+// lifetime.
 func (r *Registry) materialize(st *loaded) (*core.Disassembler, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -273,17 +258,8 @@ func (r *Registry) materialize(st *loaded) (*core.Disassembler, error) {
 		r.log.Warn("template failed to materialize", "template", st.name, "error", err)
 		return nil, st.matErr
 	}
-	// A legacy (v1/v2) file under -sparse=on degrades to the full path with
-	// a warning instead of failing the load — one old template must not take
-	// the registry down.
-	st.fellBack = d.SetSparseModePreferred(r.cfg.Sparse)
-	if st.fellBack {
-		r.log.Warn("template cannot run the sparse path; serving via the full CWT",
-			"template", st.name, "requested", r.cfg.Sparse.String())
-	}
-	st.sparse = d.SparseEnabled()
-	// Per-template drift monitor; v1 templates lack a baseline and serve
-	// without one.
+	// Per-template drift monitor; templates without a baseline serve without
+	// one.
 	mon, err := d.NewDriftMonitor(r.cfg.Drift)
 	switch {
 	case err == nil:
@@ -299,9 +275,8 @@ func (r *Registry) materialize(st *loaded) (*core.Disassembler, error) {
 	}
 	st.d = d
 	st.materializedAt = time.Now()
-	r.log.Info("template loaded", "template", st.name, "format", string(st.format),
-		"trace_len", st.traceLen, "sparse", st.sparse, "drift", st.drift != nil,
-		"resident_bytes", st.tpl.ResidentBytes())
+	r.log.Info("template loaded", "template", st.name, "trace_len", st.traceLen,
+		"drift", st.drift != nil, "resident_bytes", st.tpl.ResidentBytes())
 	return d, nil
 }
 
@@ -310,23 +285,16 @@ func (r *Registry) materialize(st *loaded) (*core.Disassembler, error) {
 type TemplateStatus struct {
 	Name   string `json:"name"`
 	Loaded bool   `json:"loaded"`
-	// Format is the on-disk format ("gob" or "v4") once the file is opened.
-	Format string `json:"format,omitempty"`
 	// Resident is true once the matrix sections have materialized into a
-	// servable Disassembler. A v4 template is Loaded (header decoded) from
-	// the first Get but Resident only after its first decode.
+	// servable Disassembler. A template is Loaded (header decoded) from the
+	// first Get but Resident only after its first decode.
 	Resident bool `json:"resident,omitempty"`
-	// ResidentBytes counts decoded section bytes held for this template
-	// (v4 only; gob decodes are not section-tracked).
-	ResidentBytes int64  `json:"resident_bytes,omitempty"`
-	Error         string `json:"error,omitempty"`
-	TraceLen      int    `json:"trace_len,omitempty"`
-	Sparse        bool   `json:"sparse,omitempty"`
-	// SparseFellBack is true when the server preferred the sparse path but
-	// this template could not support it (legacy format).
-	SparseFellBack bool               `json:"sparse_fell_back,omitempty"`
-	LoadedAt       time.Time          `json:"loaded_at,omitempty"`
-	Drift          *obs.DriftSnapshot `json:"drift,omitempty"`
+	// ResidentBytes counts decoded section bytes held for this template.
+	ResidentBytes int64              `json:"resident_bytes,omitempty"`
+	Error         string             `json:"error,omitempty"`
+	TraceLen      int                `json:"trace_len,omitempty"`
+	LoadedAt      time.Time          `json:"loaded_at,omitempty"`
+	Drift         *obs.DriftSnapshot `json:"drift,omitempty"`
 }
 
 // PublishMetrics exports every template's load and drift state as labeled
@@ -358,11 +326,11 @@ func (r *Registry) PublishMetrics() {
 	}
 }
 
-// Close drops every cached template handle, releasing v4 mappings and
-// descriptors (gob handles hold no resources). Disassemblers already handed
-// to in-flight requests stay valid — their state lives on the heap. The
-// registry remains usable: a later Get re-opens the file, so Close is safe
-// at daemon shutdown and between benchmark iterations alike.
+// Close drops every cached template handle, releasing mappings and
+// descriptors. Disassemblers already handed to in-flight requests stay
+// valid — their state lives on the heap. The registry remains usable: a
+// later Get re-opens the file, so Close is safe at daemon shutdown and
+// between benchmark iterations alike.
 func (r *Registry) Close() {
 	r.mu.RLock()
 	entries := make([]*entry, 0, len(r.entries))
@@ -404,7 +372,6 @@ func (r *Registry) Statuses() []TemplateStatus {
 		case e.state != nil:
 			ls := e.state
 			st.Loaded = true
-			st.Format = string(ls.format)
 			st.TraceLen = ls.traceLen
 			st.LoadedAt = ls.openedAt
 			// The materialization state lives behind its own lock; TryLock
@@ -417,8 +384,6 @@ func (r *Registry) Statuses() []TemplateStatus {
 				case ls.d != nil:
 					st.Resident = true
 					st.ResidentBytes = ls.tpl.ResidentBytes()
-					st.Sparse = ls.sparse
-					st.SparseFellBack = ls.fellBack
 					if ls.drift != nil {
 						snap := ls.drift.Snapshot()
 						st.Drift = &snap

@@ -30,13 +30,17 @@ func TestRegistryLazyLoadAndStatuses(t *testing.T) {
 		t.Fatalf("loaded traceLen %d, want %d", tpl.traceLen, fx.traceLen)
 	}
 	sts = reg.Statuses()
-	if !sts[0].Loaded || sts[0].TraceLen != fx.traceLen {
-		t.Fatalf("post-load status %+v", sts[0])
+	if !sts[0].Loaded || sts[0].Resident || sts[0].TraceLen != fx.traceLen {
+		t.Fatalf("post-load status %+v, want loaded from the header alone", sts[0])
 	}
-	// A v3 template has a drift baseline: the per-template drift state is
-	// exposed in its status.
-	if sts[0].Drift == nil {
-		t.Fatal("loaded v3 template reports no drift state")
+	// Materialization (the first decode) wires the template's drift
+	// baseline: the per-template drift state is exposed in its status.
+	if _, err := tpl.disassembler(); err != nil {
+		t.Fatal(err)
+	}
+	sts = reg.Statuses()
+	if !sts[0].Resident || sts[0].Drift == nil {
+		t.Fatalf("materialized status %+v, want resident with drift state", sts[0])
 	}
 	if _, err := reg.Get("nope"); !errors.Is(err, ErrUnknownTemplate) {
 		t.Fatalf("unknown template error = %v, want ErrUnknownTemplate", err)
@@ -184,45 +188,45 @@ func TestRegistryReloadNotBlockedBySlowLoad(t *testing.T) {
 	}
 }
 
-// TestRegistrySparsePreferenceDegrades pins satellite contract: a registry
-// preferring -sparse=on loads a legacy-normalization template anyway,
-// serving it via the full-CWT path with the fallback recorded in its status,
-// while a capable template in the same directory gets the sparse path.
-func TestRegistrySparsePreferenceDegrades(t *testing.T) {
+// TestRegistryRefusesLegacyTemplates pins the fail-closed registry
+// contract: a gob file from an older build and a plane-normalized v4 file
+// each fail their own Get with core.ErrTemplateFormat and an Error status,
+// while the current template in the same directory keeps serving.
+func TestRegistryRefusesLegacyTemplates(t *testing.T) {
 	fixture(t)
 	dir := t.TempDir()
 	writeTemplate(t, dir, "demo", fx.tpl)
-	writeTemplate(t, dir, "old", fx.legacy)
-	reg, err := NewRegistry(dir, RegistryConfig{Sparse: core.SparseOn})
+	writeTemplate(t, dir, "gob", legacyGobTemplate(t))
+	writeTemplate(t, dir, "plane", planeNormalizedTemplate(t))
+	reg, err := NewRegistry(dir, RegistryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldTpl, err := reg.Get("old")
-	if err != nil {
-		t.Fatalf("legacy template failed to load under -sparse=on: %v", err)
+	for _, name := range []string{"gob", "plane"} {
+		if _, err := reg.Get(name); !errors.Is(err, core.ErrTemplateFormat) {
+			t.Fatalf("Get(%q) err = %v, want core.ErrTemplateFormat", name, err)
+		}
 	}
-	if !oldTpl.fellBack || oldTpl.sparse {
-		t.Fatalf("legacy template state = {fellBack:%v sparse:%v}, want fallback to the full path", oldTpl.fellBack, oldTpl.sparse)
-	}
-	newTpl, err := reg.Get("demo")
+	tpl, err := reg.Get("demo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if newTpl.fellBack || !newTpl.sparse {
-		t.Fatalf("capable template state = {fellBack:%v sparse:%v}, want the sparse path", newTpl.fellBack, newTpl.sparse)
+	d, err := tpl.disassembler()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Both decode the same batch successfully.
-	for _, tpl := range []*loaded{oldTpl, newTpl} {
-		if _, err := tpl.d.Disassemble(fx.traces); err != nil {
-			t.Fatalf("decode failed (sparse=%v): %v", tpl.sparse, err)
+	decs, err := d.Disassemble(fx.traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, dec := range decs {
+		if dec.String() != fx.want[i] {
+			t.Fatalf("demo decode %d = %q next to refused templates, want %q", i, dec, fx.want[i])
 		}
 	}
 	for _, st := range reg.Statuses() {
-		if st.Name == "old" && !st.SparseFellBack {
-			t.Fatalf("legacy status does not report the fallback: %+v", st)
-		}
-		if st.Name == "demo" && st.SparseFellBack {
-			t.Fatalf("capable status reports a fallback: %+v", st)
+		if failed := st.Error != ""; failed != (st.Name != "demo") {
+			t.Fatalf("status %+v: only the legacy templates should report an error", st)
 		}
 	}
 }

@@ -204,10 +204,13 @@ type DecodedInstr struct {
 
 // DisassembleResponse is the body of a successful decode.
 type DisassembleResponse struct {
-	Template string         `json:"template"`
-	Count    int            `json:"count"`
-	Sparse   bool           `json:"sparse"`
-	Decoded  []DecodedInstr `json:"decoded"`
+	Template string `json:"template"`
+	Count    int    `json:"count"`
+	// Sparse reports the sparse per-cell inference path.
+	//
+	// Deprecated: it is the only path; the field is always true.
+	Sparse  bool           `json:"sparse"`
+	Decoded []DecodedInstr `json:"decoded"`
 	// Drift is the template's covariate-shift state after this batch, when
 	// the template carries a drift baseline.
 	Drift *obs.DriftSnapshot `json:"drift,omitempty"`
@@ -262,10 +265,9 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	root := obs.ContextSpan(ctx)
 
-	// Materialize inside the admission gate: a v4 template's first decode
+	// Materialize inside the admission gate: a template's first decode
 	// faults its matrix sections in here, and section memory is exactly the
-	// kind of burst the gate exists to bound. Gob templates materialized at
-	// load; for them this returns immediately.
+	// kind of burst the gate exists to bound.
 	loadSpan := root.FineChild("serve.template.load")
 	d, err := tpl.disassembler()
 	loadSpan.End()
@@ -307,7 +309,7 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	resp := DisassembleResponse{
 		Template: name,
 		Count:    len(decs),
-		Sparse:   tpl.sparse,
+		Sparse:   true,
 		Decoded:  make([]DecodedInstr, len(decs)),
 	}
 	for i, dec := range decs {
@@ -411,8 +413,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the process obs registry in Prometheus exposition
-// format. The serving instruments (admission gauges, spans dropped, sparse
-// fallbacks, decision counters) all live there via the OnDefault hooks.
+// format. The serving instruments (admission gauges, spans dropped,
+// decision counters) all live there via the OnDefault hooks.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg := obs.Default()
 	if reg == nil {

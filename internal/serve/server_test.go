@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -459,13 +458,13 @@ func TestServeAdminReload(t *testing.T) {
 }
 
 // TestServeGracefulDrain pins shutdown semantics: Shutdown called while a
-// decode is in flight lets that request finish with a full 200 response,
-// and Serve returns http.ErrServerClosed.
+// request is in flight lets that request finish with a full 200 response,
+// and Serve returns http.ErrServerClosed. The request body is streamed
+// through a pipe — the handler takes its admission slot before reading the
+// body — so the request is provably in flight until the test releases the
+// rest of the body after Shutdown has closed the listener.
 func TestServeGracefulDrain(t *testing.T) {
-	fixture(t)
-	// Full-CWT path (no sparse shortcut) so the decode is slow enough to
-	// still be in flight when Shutdown fires.
-	reg, _ := newTestRegistry(t, RegistryConfig{Sparse: core.SparseOff})
+	reg, _ := newTestRegistry(t, RegistryConfig{})
 	s := NewServer(reg, Config{MaxInFlight: 1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -475,12 +474,11 @@ func TestServeGracefulDrain(t *testing.T) {
 	go func() { served <- s.Serve(l) }()
 	url := "http://" + l.Addr().String()
 
-	// A deliberately heavy batch so the decode is still running when
-	// Shutdown fires.
-	big := make([][]float64, 0, 64*len(fx.traces))
-	for i := 0; i < 64; i++ {
-		big = append(big, fx.traces...)
+	body, err := io.ReadAll(jsonBody(fx.traces))
+	if err != nil {
+		t.Fatal(err)
 	}
+	pr, pw := io.Pipe()
 	type result struct {
 		status int
 		count  int
@@ -488,7 +486,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(url+"/v1/disassemble/demo", "application/json", jsonBody(big))
+		resp, err := http.Post(url+"/v1/disassemble/demo", "application/json", pr)
 		if err != nil {
 			resc <- result{err: err}
 			return
@@ -501,8 +499,11 @@ func TestServeGracefulDrain(t *testing.T) {
 		}
 		resc <- result{status: resp.StatusCode, count: dr.Count}
 	}()
+	if _, err := pw.Write(body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
 
-	// Wait for the decode to be admitted, then drain.
+	// Wait for the request to be admitted, then drain.
 	deadline := time.Now().Add(10 * time.Second)
 	for s.adm.InFlight() == 0 {
 		if time.Now().After(deadline) {
@@ -512,21 +513,36 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(ctx) }()
+	// The listener closes first: new connections are refused while the
+	// admitted request is still waiting for its body.
+	for {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after Shutdown")
+		}
+		time.Sleep(time.Millisecond)
 	}
+	if _, err := pw.Write(body[len(body)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
 	res := <-resc
 	if res.err != nil {
 		t.Fatalf("in-flight request during drain: %v", res.err)
 	}
-	if res.status != http.StatusOK || res.count != len(big) {
-		t.Fatalf("drained request = status %d count %d, want 200/%d", res.status, res.count, len(big))
+	if res.status != http.StatusOK || res.count != len(fx.traces) {
+		t.Fatalf("drained request = status %d count %d, want 200/%d", res.status, res.count, len(fx.traces))
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 	if err := <-served; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
-	}
-	// The listener is gone: new connections are refused.
-	if _, err := http.Get(url + "/healthz"); err == nil {
-		t.Fatal("listener still accepting after Shutdown")
 	}
 }

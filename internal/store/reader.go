@@ -65,7 +65,7 @@ func fromSource(src sectionSource, size int64) (*File, error) {
 		return nil, err
 	}
 	if string(pre[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, pre[0:4])
+		return nil, fmt.Errorf("%w: bad magic %q: not a v4 template store (gob templates from older builds are no longer read: retrain, or convert them with an older build's scdis convert)", ErrFormat, pre[0:4])
 	}
 	if v := binary.LittleEndian.Uint32(pre[4:8]); v != Version {
 		if v > Version {

@@ -1,6 +1,6 @@
 // Package store implements the flat, versioned, checksummed template
-// container — schema v4 of the template lineage that versions 1–3 carried
-// as whole-file gob blobs (internal/core/persist.go).
+// container — schema v4, the only template format. Versions 1–3 were
+// whole-file gob blobs; they are no longer read.
 //
 // Layout (all integers little-endian; see DESIGN §12 for the diagram):
 //
@@ -43,11 +43,10 @@ import (
 
 const (
 	// Magic is the four-byte file signature ("SCT4": Side-Channel Template,
-	// schema 4). A gob template file starts with gob's own type prelude and
-	// can never collide with it, so one byte-sniff routes old and new files.
+	// schema 4). A legacy gob template starts with gob's own type prelude
+	// and can never collide with it, so it fails the magic check.
 	Magic = "SCT4"
-	// Version is the schema this package reads and writes. Versions 1–3 are
-	// the gob lineage and are handled by core.Load, not this package.
+	// Version is the schema this package reads and writes.
 	Version = 4
 
 	// flagQuantized marks files whose matrix sections are float32-encoded.
@@ -66,8 +65,8 @@ const (
 // ErrFormat is wrapped into every failure caused by the template file
 // itself — bad magic, unknown version, truncated or corrupted bytes, CRC
 // mismatches, directory entries that cannot be valid. Callers distinguish
-// "bad file" from I/O errors with errors.Is, mirroring the
-// core.ErrTemplateFormat contract for the gob lineage.
+// "bad file" from I/O errors with errors.Is; core wraps it into
+// core.ErrTemplateFormat.
 var ErrFormat = errors.New("store: invalid template file")
 
 // castagnoli is the CRC-32C table (the polynomial with hardware support on
@@ -182,7 +181,7 @@ type fileHeader struct {
 // tables, kernel cell indices). Moving them into one lazily loaded,
 // CRC-checked blob per level is what keeps Open proportional to the truly
 // small state (configs, class tables, per-class vectors) and the registry
-// cold start an order of magnitude under a full gob decode.
+// cold start an order of magnitude under full materialization.
 type levelAux struct {
 	Points  []features.Point
 	Pairs   []features.PairFeatures

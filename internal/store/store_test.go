@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/dsp"
@@ -445,6 +448,67 @@ func TestWriterRejectsDefectiveStates(t *testing.T) {
 	st.Rd.Pipe.Points = nil // not a fitted pipeline: nothing was selected
 	if err := Write(&buf, st, Options{}); err == nil {
 		t.Fatal("pipeline without selected points accepted")
+	}
+}
+
+// TestWriteFileReplacesAtomically pins the replace-while-mapped contract: a
+// handle opened before WriteFile rewrites the same path (here with the
+// quantized, shorter encoding) still materializes the file it opened,
+// while a fresh Open sees the new one. A failed write leaves the target
+// untouched, and no attempt leaves a temporary file behind.
+func TestWriteFileReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "demo.tpl")
+	if err := WriteFile(path, tinyState(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := WriteFile(path, tinyState(), Options{Quantize: true}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := old.Template()
+	if err != nil {
+		t.Fatalf("handle opened before the rewrite cannot materialize: %v", err)
+	}
+	want := tinyState()
+	if got := st.Group.Pipe.PCA.Components.Data; !slices.Equal(got, want.Group.Pipe.PCA.Components.Data) {
+		t.Fatalf("old handle reads %v, want the original float64 basis", got)
+	}
+	cur, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.Quantized() {
+		t.Fatal("fresh Open does not see the replacement")
+	}
+	cur.Close()
+
+	bad := tinyState()
+	bad.Instr[2] = LevelState{Present: true}
+	if err := WriteFile(path, bad, Options{}); err == nil {
+		t.Fatal("defective state written")
+	}
+	if err := WriteFile(filepath.Join(dir, "missing", "x.tpl"), tinyState(), Options{}); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	if cur, err = Open(path); err != nil || !cur.Quantized() {
+		t.Fatalf("failed write disturbed the target: %v", err)
+	}
+	cur.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "demo.tpl" {
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory holds %v, want only demo.tpl", names)
 	}
 }
 

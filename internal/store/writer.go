@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -210,24 +211,37 @@ func Write(w io.Writer, st *TemplateState, opts Options) error {
 	return nil
 }
 
-// WriteFile writes st to path, removing the partial file on error so a
-// failed conversion can never leave a truncated template for the registry
-// to trip over.
-func WriteFile(path string, st *TemplateState, opts Options) error {
-	f, err := os.Create(path)
+// WriteFile writes st to path atomically. The bytes go to a temporary file
+// in the same directory — named so it never ends in a template extension, so
+// a registry scan cannot pick it up half-written — which is synced, closed
+// and renamed over path. A reader that mapped the previous file keeps its
+// intact inode: rewriting in place would change pages under the mapping
+// (CRC mismatches) or truncate them (SIGBUS). On any error the temporary
+// file is removed and path is left as it was.
+func WriteFile(path string, st *TemplateState, opts Options) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if err := Write(f, st, opts); err != nil {
-		f.Close()
-		os.Remove(path)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
+	if err = Write(f, st, opts); err != nil {
 		return err
 	}
-	return nil
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // splitName parses a section name into its level key and payload path.

@@ -33,6 +33,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/parallel"
 	"repro/internal/power"
+	"repro/internal/store"
 )
 
 // Core disassembler types.
@@ -51,11 +52,6 @@ type (
 	FlowMismatch = core.FlowMismatch
 	// DetectionResult summarizes a malware check.
 	DetectionResult = core.DetectionResult
-	// SparseMode selects the inference path: the sparse per-cell CWT
-	// (templates' selected time–frequency cells only, an order of magnitude
-	// cheaper per trace) or the full FFT scalogram. See
-	// Disassembler.SetSparseMode.
-	SparseMode = core.SparseMode
 )
 
 // ISA model types.
@@ -109,19 +105,6 @@ const (
 	NaiveBayes = core.ClassifierNB
 	KNN        = core.ClassifierKNN
 )
-
-// Inference-path modes accepted by Disassembler.SetSparseMode.
-const (
-	// SparseAuto uses the sparse path whenever the templates allow it.
-	SparseAuto = core.SparseAuto
-	// SparseOn requires the sparse path (SetSparseMode fails otherwise).
-	SparseOn = core.SparseOn
-	// SparseOff forces the full-FFT path.
-	SparseOff = core.SparseOff
-)
-
-// ParseSparseMode parses the -sparse flag syntax: "auto", "on" or "off".
-func ParseSparseMode(s string) (SparseMode, error) { return core.ParseSparseMode(s) }
 
 // DefaultConfig returns a laptop-scale training configuration with covariate
 // shift adaptation enabled (the paper's best-practice pipeline).
@@ -233,10 +216,11 @@ const (
 	Group8 = avr.Group8
 )
 
-// SaveTemplates persists a trained disassembler's template set to w
-// (encoding/gob). Profiling is the expensive step; saved templates reload
-// instantly with LoadTemplates.
-func SaveTemplates(d *Disassembler, w io.Writer) error { return d.Save(w) }
+// SaveTemplates persists a trained disassembler's template set to w as a
+// v4 template store file. Profiling is the expensive step; saved templates
+// reload instantly with LoadTemplates.
+func SaveTemplates(d *Disassembler, w io.Writer) error { return d.SaveStore(w, store.Options{}) }
 
 // LoadTemplates restores a disassembler previously written by SaveTemplates.
+// Gob files written by older builds are refused with ErrTemplateFormat.
 func LoadTemplates(r io.Reader) (*Disassembler, error) { return core.Load(r) }

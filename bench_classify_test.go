@@ -6,13 +6,12 @@ package sidechannel
 //
 //	go test -bench=DisassembleScored -benchmem -run=^$
 //
-// and compare against BENCH_classify.json. Both paths decode through sparse
-// inference by default (the fixture's templates are sparse-capable). The
-// comparison gate (TestDecisionOverheadBudget, part of `make bench-compare`)
-// fails when decision recording at default sampling costs more than 3% over
-// the plain path and more than 5 µs/trace absolute — the scored walk shares
-// the plain walk's extraction, so the delta is a few softmaxes, the drift
-// vector, and one JSON encode per sampled decision.
+// and compare against BENCH_classify.json. Both run the one hierarchy walk
+// over pooled scratch. The comparison gate (TestDecisionOverheadBudget, part
+// of `make bench-compare`) fails when decision recording at default sampling
+// costs more than 3% over the plain path and more than 5 µs/trace absolute —
+// the two differ only in the sinks fed, so the delta is each decision's own
+// Levels, the drift vector, and one JSON encode per sampled decision.
 
 import (
 	"fmt"

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/power"
 )
 
 // coreMetrics holds the disassembly instrument handles; the handles are nil
@@ -202,6 +200,7 @@ type Disassembler struct {
 	rr         groupLevel
 	haveRegs   bool
 	observer   *InferenceObserver // inference-quality sinks; nil = disabled
+	scratch    sync.Pool          // *decodeScratch, one per decode in flight
 }
 
 // SetSparseModePreferred once chose the inference path per template.
@@ -231,8 +230,9 @@ func (d *Disassembler) TraceLen() int {
 // Classify decodes a single power trace into an instruction. Each hierarchy
 // level (group, instruction, Rd, Rr) evaluates only its own selected
 // time–frequency cells as direct dot products
-// (features.Pipeline.ExtractSparse); no full scalogram is computed at
-// inference.
+// (features.Pipeline.ExtractSparseInto); no full scalogram is computed at
+// inference. It runs the same walk as ClassifyScored with no sinks fed, in
+// pooled scratch, and allocates nothing in the steady state.
 //
 // The trace is validated first (power.ValidateTrace): a NaN/Inf, constant or
 // wrong-length capture is rejected with a typed error instead of silently
@@ -244,156 +244,10 @@ func (d *Disassembler) Classify(trace []float64) (Decoded, error) {
 		dec, err := d.ClassifyScored(trace)
 		return dec.Decoded, err
 	}
-	if d.group.pipe == nil || d.group.clf == nil {
-		return Decoded{}, ErrNotTrained
-	}
-	if err := power.ValidateTrace(trace, d.group.pipe.TraceLen()); err != nil {
-		met().rejected.Inc()
-		return Decoded{}, fmt.Errorf("core: rejecting trace: %w", err)
-	}
-	dec, err := d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractSparse(trace)
-	})
-	if err != nil {
-		met().rejected.Inc()
-		return dec, err
-	}
-	met().classified.Inc()
-	return dec, nil
-}
-
-// trainedGroup reports whether group label gi carries instruction templates.
-func (d *Disassembler) trainedGroup(gi int) bool {
-	return gi >= 0 && gi < avr.NumGroups && d.instr[gi].pipe != nil && d.instr[gi].clf != nil
-}
-
-// maskedGroupScores returns the group classifier's per-class scores for gf
-// with every group lacking instruction templates masked to -Inf. ok is false
-// when the classifier exposes no raw scores (ml.Scorer) or when no trained
-// group exists at all — the caller then keeps the original decision.
-func (d *Disassembler) maskedGroupScores(gf []float64) ([]float64, bool) {
-	sc, ok := d.group.clf.(ml.Scorer)
-	if !ok {
-		return nil, false
-	}
-	scores, err := sc.Scores(gf)
-	if err != nil {
-		return nil, false
-	}
-	any := false
-	for g := range scores {
-		if d.trainedGroup(g) {
-			any = true
-		} else {
-			scores[g] = math.Inf(-1)
-		}
-	}
-	return scores, any
-}
-
-// remapGroup redirects a group decision that landed on a group without
-// instruction templates onto the best-scoring trained group. A subset
-// disassembler's group classifier is trained on the full 8-way task
-// (TrainSubset), so the occasional trace routes to a group it has no level-2
-// templates for; a monitoring appliance should answer with the most likely
-// group it can actually decode — the downstream majority fusion cancels the
-// misread — rather than fail the trace. When the classifier exposes no
-// scores the label is returned unchanged and the caller's untrained-group
-// error stands.
-func (d *Disassembler) remapGroup(gf []float64, gi int) int {
-	scores, ok := d.maskedGroupScores(gf)
-	if !ok {
-		return gi
-	}
-	best := 0
-	for g := range scores {
-		if scores[g] > scores[best] {
-			best = g
-		}
-	}
-	met().groupRemapped.Inc()
-	return best
-}
-
-// remapGroupScored is remapGroup for the scored path: the same trained-group
-// restriction, with confidence and margin renormalized over the masked
-// scores so the DecisionLevel reflects the restricted decision. No-op for
-// decisions already inside the trained set.
-func (d *Disassembler) remapGroupScored(gf []float64, sp ml.ScoredPrediction) ml.ScoredPrediction {
-	if d.trainedGroup(sp.Label) {
-		return sp
-	}
-	scores, ok := d.maskedGroupScores(gf)
-	if !ok {
-		return sp
-	}
-	met().groupRemapped.Inc()
-	return ml.ScoredFromLogScores(scores)
-}
-
-// classifyExtract walks the hierarchy with the given per-level feature
-// extraction: ExtractSparse at inference, and the full-CWT Extract when the
-// accuracy gate decodes a second time as the sparse path's oracle.
-func (d *Disassembler) classifyExtract(extract func(*features.Pipeline) ([]float64, error)) (Decoded, error) {
-	gf, err := extract(d.group.pipe)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: group features: %w", err)
-	}
-	gi, err := d.group.clf.Predict(gf)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: group classify: %w", err)
-	}
-	if gi < 0 || gi >= avr.NumGroups {
-		return Decoded{}, fmt.Errorf("core: group label %d out of range", gi)
-	}
-	if !d.trainedGroup(gi) {
-		gi = d.remapGroup(gf, gi)
-	}
-	lvl := d.instr[gi]
-	if lvl.pipe == nil || lvl.clf == nil {
-		return Decoded{}, fmt.Errorf("core: no instruction templates for group %d: %w", gi+1, ErrNotTrained)
-	}
-	inf, err := extract(lvl.pipe)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: instruction features: %w", err)
-	}
-	ii, err := lvl.clf.Predict(inf)
-	if err != nil {
-		return Decoded{}, fmt.Errorf("core: instruction classify: %w", err)
-	}
-	if ii < 0 || ii >= len(d.instrClass[gi]) {
-		return Decoded{}, fmt.Errorf("core: instruction label %d out of range for group %d", ii, gi+1)
-	}
-	cls := d.instrClass[gi][ii]
-	out := Decoded{Class: cls, Group: cls.Group()}
-
-	if d.haveRegs {
-		sp := avr.SpecOf(cls)
-		needRd, needRr := operandRegisters(sp.Operands, cls)
-		if needRd {
-			f, err := extract(d.rd.pipe)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rd features: %w", err)
-			}
-			r, err := d.rd.clf.Predict(f)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rd classify: %w", err)
-			}
-			out.Rd, out.HasRd = uint8(r), true
-		}
-		if needRr {
-			f, err := extract(d.rr.pipe)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rr features: %w", err)
-			}
-			r, err := d.rr.clf.Predict(f)
-			if err != nil {
-				return Decoded{}, fmt.Errorf("core: Rr classify: %w", err)
-			}
-			out.Rr, out.HasRr = uint8(r), true
-		}
-	}
-	return out, nil
+	s := d.getScratch()
+	defer d.scratch.Put(s)
+	dec, err := d.decode(trace, s, nil, s.levels[:0])
+	return dec.Decoded, err
 }
 
 // operandRegisters reports which register operands a class carries.
@@ -487,7 +341,21 @@ func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]floa
 	defer span.End()
 	span.SetAttr("traces", float64(len(traces)))
 	out := make([]Decision, len(traces))
-	driftVecs := make([][]float64, len(traces))
+	// Every decision's Levels is a maxLevels-capacity window into one
+	// backing array per batch — never pooled scratch, because decisions
+	// leave the call — and the drift vectors wait in one array for the
+	// in-order feeding below.
+	levels := make([]obs.DecisionLevel, maxLevels*len(traces))
+	var drift []float64
+	if o := d.observer; o != nil && o.Drift != nil {
+		drift = make([]float64, features.NumDriftFeatures*len(traces))
+	}
+	driftVec := func(i int) []float64 {
+		if drift == nil {
+			return nil
+		}
+		return drift[features.NumDriftFeatures*i : features.NumDriftFeatures*(i+1)]
+	}
 	var (
 		mu       sync.Mutex
 		failIdx  = len(traces)
@@ -498,7 +366,12 @@ func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]floa
 		// the CLI session tracer and untraced batches skip at the flag check.
 		tsp := span.FineChild("core.classify")
 		tsp.SetAttr("trace", float64(i))
-		dec, dv, err := d.classifyScored(traces[i], tsp)
+		s := d.getScratch()
+		dec, err := d.decode(traces[i], s, tsp, levels[maxLevels*i:maxLevels*i:maxLevels*(i+1)])
+		if err == nil {
+			d.driftVector(s, driftVec(i))
+		}
+		d.scratch.Put(s)
 		if err != nil {
 			tsp.SetAttr("error", 1)
 			tsp.End()
@@ -512,12 +385,11 @@ func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]floa
 		tsp.SetAttr("confidence", dec.Confidence)
 		tsp.End()
 		out[i] = dec
-		driftVecs[i] = dv
 	})
 	if ctxErr == nil {
 		var confSum float64
 		for i := 0; i < failIdx; i++ {
-			d.feedObserver(out[i], driftVecs[i])
+			d.feedObserver(out[i], driftVec(i))
 			confSum += out[i].Confidence
 		}
 		if failIdx > 0 {

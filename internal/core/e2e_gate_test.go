@@ -101,15 +101,17 @@ func disassembleBothPaths(t *testing.T, d *Disassembler, traces [][]float64) []D
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := d.getScratch()
+	defer d.scratch.Put(s)
 	for i, tr := range traces {
-		full, err := d.classifyExtract(func(pl *features.Pipeline) ([]float64, error) {
+		full, err := d.walk(s.pred, func(pl *features.Pipeline) ([]float64, error) {
 			return pl.Extract(tr)
-		})
+		}, nil, s.levels[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sparse[i] != full {
-			t.Fatalf("trace %d: sparse path decoded %+v, full-CWT oracle decoded %+v", i, sparse[i], full)
+		if sparse[i] != full.Decoded {
+			t.Fatalf("trace %d: sparse path decoded %+v, full-CWT oracle decoded %+v", i, sparse[i], full.Decoded)
 		}
 	}
 	return sparse

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/avr"
 	"repro/internal/features"
-	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/power"
 )
@@ -86,132 +85,6 @@ func (dec Decision) Record() obs.DecisionRecord {
 	}
 }
 
-// predictScored runs the classifier's scored path when it has one, and
-// otherwise falls back to Predict with a degenerate full-confidence score so
-// externally supplied Classifier implementations keep working.
-func predictScored(clf ml.Classifier, f []float64) (ml.ScoredPrediction, error) {
-	if sc, ok := clf.(ml.ScoredClassifier); ok {
-		return sc.PredictScored(f)
-	}
-	lbl, err := clf.Predict(f)
-	if err != nil {
-		return ml.ScoredPrediction{}, err
-	}
-	return ml.ScoredPrediction{Label: lbl, RunnerUp: -1, Confidence: 1, Margin: 1}, nil
-}
-
-// classifyExtractScored is classifyExtract with per-level confidence, using
-// PredictScored — which returns the exact label Predict would — and
-// accumulating a DecisionLevel per stage. tsp, when non-nil, is the
-// per-trace parent span; each hierarchy level records a wall-only child span
-// under it (core.classify.group/instr/rd/rr).
-func (d *Disassembler) classifyExtractScored(extract func(*features.Pipeline) ([]float64, error), tsp *obs.SpanHandle) (Decision, error) {
-	dec := Decision{Confidence: 1, Levels: make([]obs.DecisionLevel, 0, 4)}
-	// post lets a level rewrite its decision before it is recorded — the
-	// group level uses it to restrict routing to trained groups
-	// (remapGroupScored); nil for the other levels.
-	level := func(name string, lvl groupLevel, post func([]float64, ml.ScoredPrediction) ml.ScoredPrediction) (int, error) {
-		var lsp *obs.SpanHandle
-		if tsp != nil {
-			lsp = tsp.Child("core.classify." + name)
-			defer lsp.End()
-		}
-		f, err := extract(lvl.pipe)
-		if err != nil {
-			return 0, fmt.Errorf("core: %s features: %w", name, err)
-		}
-		sp, err := predictScored(lvl.clf, f)
-		if err != nil {
-			return 0, fmt.Errorf("core: %s classify: %w", name, err)
-		}
-		if post != nil {
-			sp = post(f, sp)
-		}
-		lsp.SetAttr("label", float64(sp.Label))
-		lsp.SetAttr("confidence", sp.Confidence)
-		lsp.SetAttr("margin", sp.Margin)
-		dec.Levels = append(dec.Levels, obs.DecisionLevel{
-			Level:      name,
-			Label:      sp.Label,
-			RunnerUp:   sp.RunnerUp,
-			Confidence: sp.Confidence,
-			Margin:     sp.Margin,
-		})
-		dec.Confidence *= sp.Confidence
-		return sp.Label, nil
-	}
-	gi, err := level("group", d.group, d.remapGroupScored)
-	if err != nil {
-		return Decision{}, err
-	}
-	if gi < 0 || gi >= avr.NumGroups {
-		return Decision{}, fmt.Errorf("core: group label %d out of range", gi)
-	}
-	lvl := d.instr[gi]
-	if lvl.pipe == nil || lvl.clf == nil {
-		return Decision{}, fmt.Errorf("core: no instruction templates for group %d: %w", gi+1, ErrNotTrained)
-	}
-	ii, err := level("instr", lvl, nil)
-	if err != nil {
-		return Decision{}, err
-	}
-	if ii < 0 || ii >= len(d.instrClass[gi]) {
-		return Decision{}, fmt.Errorf("core: instruction label %d out of range for group %d", ii, gi+1)
-	}
-	cls := d.instrClass[gi][ii]
-	dec.Decoded = Decoded{Class: cls, Group: cls.Group()}
-
-	if d.haveRegs {
-		sp := avr.SpecOf(cls)
-		needRd, needRr := operandRegisters(sp.Operands, cls)
-		if needRd {
-			r, err := level("rd", d.rd, nil)
-			if err != nil {
-				return Decision{}, err
-			}
-			dec.Rd, dec.HasRd = uint8(r), true
-		}
-		if needRr {
-			r, err := level("rr", d.rr, nil)
-			if err != nil {
-				return Decision{}, err
-			}
-			dec.Rr, dec.HasRr = uint8(r), true
-		}
-	}
-	return dec, nil
-}
-
-// classifyScored validates and classifies one trace on the scored path,
-// also assembling the drift vector when a drift monitor is installed (time-
-// domain moments only, so drift monitoring costs no CWT). It does NOT feed
-// the observer — callers decide between inline (streaming) and serial
-// in-order (batch) feeding.
-func (d *Disassembler) classifyScored(trace []float64, tsp *obs.SpanHandle) (Decision, []float64, error) {
-	if d.group.pipe == nil || d.group.clf == nil {
-		return Decision{}, nil, ErrNotTrained
-	}
-	if err := power.ValidateTrace(trace, d.group.pipe.TraceLen()); err != nil {
-		met().rejected.Inc()
-		return Decision{}, nil, fmt.Errorf("core: rejecting trace: %w", err)
-	}
-	dec, err := d.classifyExtractScored(func(pl *features.Pipeline) ([]float64, error) {
-		return pl.ExtractSparse(trace)
-	}, tsp)
-	if err != nil {
-		met().rejected.Inc()
-		return Decision{}, nil, err
-	}
-	met().classified.Inc()
-	var dv []float64
-	if o := d.observer; o != nil && o.Drift != nil {
-		if dv, err = d.group.pipe.DriftVector(trace); err != nil {
-			dv = nil // length mismatch is impossible after validation; stay lenient
-		}
-	}
-	return dec, dv, nil
-}
-
 // feedObserver pushes one successful decision into the installed sinks.
 func (d *Disassembler) feedObserver(dec Decision, driftVec []float64) {
 	o := d.observer
@@ -221,6 +94,9 @@ func (d *Disassembler) feedObserver(dec Decision, driftVec []float64) {
 	met().confidence.Observe(dec.Confidence)
 	if driftVec != nil {
 		o.Drift.Observe(driftVec)
+	}
+	if o.Log == nil {
+		return
 	}
 	if err := o.Log.Record(dec.Record()); err != nil {
 		met().decisionLogErrs.Inc()
@@ -257,11 +133,13 @@ func (d *Disassembler) ObserveTrace(trace []float64) error {
 // feeding the installed observer inline — the streaming path. The label is
 // identical to Classify's on the same trace.
 func (d *Disassembler) ClassifyScored(trace []float64) (Decision, error) {
-	dec, dv, err := d.classifyScored(trace, nil)
+	s := d.getScratch()
+	defer d.scratch.Put(s)
+	dec, err := d.decode(trace, s, nil, make([]obs.DecisionLevel, 0, maxLevels))
 	if err != nil {
 		return Decision{}, err
 	}
-	d.feedObserver(dec, dv)
+	d.feedObserver(dec, d.driftVector(s, s.drift[:]))
 	return dec, nil
 }
 

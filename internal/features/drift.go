@@ -38,6 +38,9 @@ func (b *FeatureBaseline) NumFeatures() int {
 	return len(b.Mean)
 }
 
+// NumDriftFeatures is the drift-vector dimensionality.
+const NumDriftFeatures = 2
+
 // driftFeatureNames labels the drift-vector coordinates, index-aligned with
 // DriftVector's output.
 var driftFeatureNames = []string{"trace.mean", "trace.std"}
@@ -67,7 +70,15 @@ func (pl *Pipeline) DriftVector(trace []float64) ([]float64, error) {
 	if len(trace) != pl.sel.TraceLen {
 		return nil, fmt.Errorf("features: trace length %d, want %d", len(trace), pl.sel.TraceLen)
 	}
-	out := make([]float64, len(driftFeatureNames))
-	out[0], out[1] = stats.TraceNormParams(trace)
-	return out, nil
+	m, sd := stats.TraceNormParams(trace)
+	return DriftVectorInto(make([]float64, NumDriftFeatures), m, sd), nil
+}
+
+// DriftVectorInto writes the drift vector of a trace whose time-domain
+// moments are already known — stats.TraceNormParams, the parameters of its
+// per-trace normalization — into dst (NumDriftFeatures values) and returns
+// it, so a decode reads the trace once for both.
+func DriftVectorInto(dst []float64, mean, std float64) []float64 {
+	dst[0], dst[1] = mean, std
+	return dst[:NumDriftFeatures]
 }

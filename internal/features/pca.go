@@ -219,18 +219,28 @@ func (pc *PCA) InputDim() int { return pc.Components.Cols }
 
 // Transform projects x onto the principal components.
 func (pc *PCA) Transform(x []float64) ([]float64, error) {
+	out := make([]float64, pc.NumComponents())
+	if err := pc.TransformInto(out, append([]float64(nil), x...)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TransformInto is Transform into caller buffers: it centres x in place
+// (x is overwritten) and writes the projection into dst, which must hold
+// NumComponents values.
+func (pc *PCA) TransformInto(dst, x []float64) error {
 	p := pc.InputDim()
 	if len(x) != p {
-		return nil, fmt.Errorf("features: PCA input dim %d, want %d", len(x), p)
+		return fmt.Errorf("features: PCA input dim %d, want %d", len(x), p)
 	}
 	if len(pc.Mean) != p {
-		return nil, fmt.Errorf("%w: PCA mean length %d, components expect %d", linalg.ErrShape, len(pc.Mean), p)
+		return fmt.Errorf("%w: PCA mean length %d, components expect %d", linalg.ErrShape, len(pc.Mean), p)
 	}
-	centered := make([]float64, p)
 	for i := range x {
-		centered[i] = x[i] - pc.Mean[i]
+		x[i] -= pc.Mean[i]
 	}
-	return pc.Components.MulVec(centered)
+	return pc.Components.MulVecInto(dst, x)
 }
 
 // TransformAll projects every row.

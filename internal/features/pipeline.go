@@ -489,16 +489,16 @@ func (pl *Pipeline) rawFeatures(trace []float64) ([]float64, error) {
 	return pl.rawFeaturesFromScalogram(flat)
 }
 
-// finishFeatures applies the fitted z-score and PCA stages to a raw feature
-// vector.
-func (pl *Pipeline) finishFeatures(f []float64) ([]float64, error) {
+// finishInto applies the fitted z-score and PCA stages to the raw feature
+// vector f: f is standardized and centred in place, and the classifier
+// input lands in out (NumFeatures values).
+func (pl *Pipeline) finishInto(out, f []float64) error {
 	if pl.z != nil {
-		var err error
-		if f, err = pl.z.Apply(f); err != nil {
-			return nil, err
+		if err := pl.z.ApplyInto(f, f); err != nil {
+			return err
 		}
 	}
-	return pl.pca.Transform(f)
+	return pl.pca.TransformInto(out, f)
 }
 
 // Extract maps one trace to its final classifier input.
@@ -507,7 +507,11 @@ func (pl *Pipeline) Extract(trace []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pl.finishFeatures(f)
+	out := make([]float64, pl.NumFeatures())
+	if err := pl.finishInto(out, f); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ExtractAll maps a batch of traces, parallelized over the

@@ -27,35 +27,43 @@ func (pl *Pipeline) sparseEval() (*dsp.SparseCWT, error) {
 	return pl.sparse, pl.sparseErr
 }
 
-// rawFeaturesSparse evaluates the unified DNVP values of one trace through
-// the sparse path: NormTrace standardization (when configured) followed by
-// one dsp.SparseCWT evaluation — len(Points) dot products instead of
-// NumScales full FFT convolutions. Values agree with rawFeatures within
-// testkit.CWTTol.
-func (pl *Pipeline) rawFeaturesSparse(trace []float64) ([]float64, error) {
-	sp, err := pl.sparseEval()
-	if err != nil {
+// ExtractSparse maps one trace to its final classifier input through the
+// sparse per-cell path. It is the fast twin of Extract: same z-score and
+// PCA stages, point values within testkit.CWTTol of the full-FFT path. It
+// allocates its buffers and the normalized trace; the decoder calls
+// ExtractSparseInto.
+func (pl *Pipeline) ExtractSparse(trace []float64) ([]float64, error) {
+	x := trace
+	if pl.cfg.PerTraceNorm {
+		x = stats.NormalizeTrace(trace)
+	}
+	out := make([]float64, pl.NumFeatures())
+	if err := pl.ExtractSparseInto(out, make([]float64, len(pl.Points)), x); err != nil {
 		return nil, err
 	}
-	if len(trace) != pl.sel.TraceLen {
-		return nil, fmt.Errorf("features: trace length %d, want %d", len(trace), pl.sel.TraceLen)
-	}
-	if pl.cfg.PerTraceNorm {
-		trace = stats.NormalizeTrace(trace)
-	}
-	return sp.Values(trace)
+	return out, nil
 }
 
-// ExtractSparse maps one trace to its final classifier input through the
-// sparse per-cell path — the inference path of every hierarchy level. It is
-// the fast twin of Extract: same z-score and PCA stages, point values within
-// testkit.CWTTol of the full-FFT path.
-func (pl *Pipeline) ExtractSparse(trace []float64) ([]float64, error) {
-	f, err := pl.rawFeaturesSparse(trace)
+// ExtractSparseInto is ExtractSparse into caller buffers, for a trace x that
+// already carries the pipeline's per-trace normalization: the
+// stats.NormalizeTrace output when Config().PerTraceNorm is set, the raw
+// trace otherwise. A decoder that crosses several levels normalizes the
+// trace once and hands it to each. The selected cells are evaluated into
+// cells (NumPoints values), standardized and centred there in place, and
+// the classifier input is written to out (NumFeatures values). Past the
+// first call, which builds the kernel table, nothing is allocated.
+func (pl *Pipeline) ExtractSparseInto(out, cells, x []float64) error {
+	sp, err := pl.sparseEval()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return pl.finishFeatures(f)
+	if len(x) != pl.sel.TraceLen {
+		return fmt.Errorf("features: trace length %d, want %d", len(x), pl.sel.TraceLen)
+	}
+	if err := sp.ValuesInto(cells, x); err != nil {
+		return err
+	}
+	return pl.finishInto(out, cells)
 }
 
 // SparseCells returns the number of time–frequency cells the sparse path

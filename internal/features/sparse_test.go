@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/stats"
 	"repro/internal/testkit"
 )
 
@@ -96,7 +97,11 @@ func TestSparseEdgeCellsMatchScalogram(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		raw, err := pl.rawFeaturesSparse(trace)
+		sp, err := pl.sparseEval()
+		if err != nil {
+			return err
+		}
+		raw, err := sp.Values(stats.NormalizeTrace(trace))
 		if err != nil {
 			return err
 		}

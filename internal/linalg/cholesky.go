@@ -140,11 +140,16 @@ func (c *Cholesky) Inverse() (*Matrix, error) {
 
 // MahalanobisSq returns (x-mu)ᵀ A⁻¹ (x-mu) for the factorized A.
 func (c *Cholesky) MahalanobisSq(x, mu []float64) (float64, error) {
-	if len(x) != c.n || len(mu) != c.n {
-		return 0, fmt.Errorf("%w: MahalanobisSq lengths (%d,%d) != %d", ErrShape, len(x), len(mu), c.n)
+	return c.MahalanobisSqWith(make([]float64, c.n), x, mu)
+}
+
+// MahalanobisSqWith is MahalanobisSq solving into the caller's y, which
+// must hold the factor's order and is overwritten.
+func (c *Cholesky) MahalanobisSqWith(y, x, mu []float64) (float64, error) {
+	if len(x) != c.n || len(mu) != c.n || len(y) != c.n {
+		return 0, fmt.Errorf("%w: MahalanobisSq lengths (%d,%d,%d) != %d", ErrShape, len(x), len(mu), len(y), c.n)
 	}
 	// Solve L·y = (x-mu); then the quadratic form is ‖y‖².
-	y := make([]float64, c.n)
 	for i := 0; i < c.n; i++ {
 		s := x[i] - mu[i]
 		for k := 0; k < i; k++ {

@@ -110,14 +110,23 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 
 // MulVec returns m·x as a new vector.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: MulVec %dx%d · %d", ErrShape, m.Rows, m.Cols, len(x))
-	}
 	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
+	if err := m.MulVecInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// MulVecInto writes m·x into dst, which must hold m.Rows values and must
+// not overlap x.
+func (m *Matrix) MulVecInto(dst, x []float64) error {
+	if m.Cols != len(x) || len(dst) != m.Rows {
+		return fmt.Errorf("%w: MulVec %dx%d · %d into %d", ErrShape, m.Rows, m.Cols, len(x), len(dst))
+	}
+	for i := 0; i < m.Rows; i++ {
+		dst[i] = Dot(m.Row(i), x)
+	}
+	return nil
 }
 
 // Add adds b into m in place.

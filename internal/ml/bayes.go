@@ -64,13 +64,18 @@ func (g *GaussianNB) Fit(X [][]float64, y []int) error {
 
 // LogPosteriors returns per-class log posterior values (up to a constant).
 func (g *GaussianNB) LogPosteriors(x []float64) ([]float64, error) {
+	return g.logPosteriors(x, &Scratch{})
+}
+
+// logPosteriors is LogPosteriors written into s.
+func (g *GaussianNB) logPosteriors(x []float64, s *Scratch) ([]float64, error) {
 	if g.nc == 0 {
 		return nil, errors.New("ml: GaussianNB used before Fit")
 	}
 	if len(x) != g.p {
 		return nil, errDim(len(x), g.p)
 	}
-	out := make([]float64, g.nc)
+	out := take(&s.scores, g.nc)
 	for c := 0; c < g.nc; c++ {
 		ll := math.Log(g.priors[c])
 		for j := 0; j < g.p; j++ {
@@ -94,10 +99,17 @@ func (g *GaussianNB) Predict(x []float64) (int, error) {
 
 // PredictScored implements ScoredClassifier (softmax of the log posteriors).
 func (g *GaussianNB) PredictScored(x []float64) (ScoredPrediction, error) {
+	return g.PredictScoredScratch(x, &Scratch{})
+}
+
+// PredictScoredScratch implements ScratchClassifier.
+func (g *GaussianNB) PredictScoredScratch(x []float64, s *Scratch) (ScoredPrediction, error) {
 	nbMet().predicts.Inc()
-	s, err := g.LogPosteriors(x)
+	lp, err := g.logPosteriors(x, s)
 	if err != nil {
 		return ScoredPrediction{}, err
 	}
-	return scoredFromLogScores(s), nil
+	return scoredFromLogScores(lp, take(&s.post, len(lp))), nil
 }
+
+func (g *GaussianNB) reserve(s *Scratch) { s.reserve(g.nc, g.p) }

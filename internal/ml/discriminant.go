@@ -80,18 +80,25 @@ func (l *LDA) Fit(X [][]float64, y []int) error {
 
 // Scores returns the per-class linear discriminant values.
 func (l *LDA) Scores(x []float64) ([]float64, error) {
+	return l.ScoresScratch(x, &Scratch{})
+}
+
+// ScoresScratch implements ScratchScorer.
+func (l *LDA) ScoresScratch(x []float64, s *Scratch) ([]float64, error) {
 	if l.chol == nil {
 		return nil, errors.New("ml: LDA used before Fit")
 	}
 	if len(x) != l.p {
 		return nil, errDim(len(x), l.p)
 	}
-	out := make([]float64, l.nc)
+	out := take(&s.scores, l.nc)
 	for c := 0; c < l.nc; c++ {
 		out[c] = linalg.Dot(l.wc[c], x) + l.bc[c]
 	}
 	return out, nil
 }
+
+func (l *LDA) reserve(s *Scratch) { s.reserve(l.nc, l.p) }
 
 // Predict implements Classifier.
 func (l *LDA) Predict(x []float64) (int, error) {
@@ -107,12 +114,17 @@ func (l *LDA) Predict(x []float64) (int, error) {
 // are class log posteriors up to a shared constant, so their softmax is the
 // posterior distribution.
 func (l *LDA) PredictScored(x []float64) (ScoredPrediction, error) {
+	return l.PredictScoredScratch(x, &Scratch{})
+}
+
+// PredictScoredScratch implements ScratchClassifier.
+func (l *LDA) PredictScoredScratch(x []float64, s *Scratch) (ScoredPrediction, error) {
 	ldaMet().predicts.Inc()
-	s, err := l.Scores(x)
+	sc, err := l.ScoresScratch(x, s)
 	if err != nil {
 		return ScoredPrediction{}, err
 	}
-	return scoredFromLogScores(s), nil
+	return scoredFromLogScores(sc, take(&s.post, len(sc))), nil
 }
 
 // QDA is quadratic discriminant analysis: Gaussian classes with their own
@@ -173,15 +185,22 @@ func (q *QDA) Fit(X [][]float64, y []int) error {
 // Scores returns the per-class quadratic discriminant values (log posterior
 // up to a constant).
 func (q *QDA) Scores(x []float64) ([]float64, error) {
+	return q.ScoresScratch(x, &Scratch{})
+}
+
+// ScoresScratch implements ScratchScorer; every class's Mahalanobis solve
+// reuses the scratch's solve vector.
+func (q *QDA) ScoresScratch(x []float64, s *Scratch) ([]float64, error) {
 	if len(q.chols) == 0 {
 		return nil, errors.New("ml: QDA used before Fit")
 	}
 	if len(x) != q.p {
 		return nil, errDim(len(x), q.p)
 	}
-	out := make([]float64, q.nc)
+	out := take(&s.scores, q.nc)
+	y := take(&s.solve, q.p)
 	for c := 0; c < q.nc; c++ {
-		m, err := q.chols[c].MahalanobisSq(x, q.means[c])
+		m, err := q.chols[c].MahalanobisSqWith(y, x, q.means[c])
 		if err != nil {
 			return nil, err
 		}
@@ -189,6 +208,8 @@ func (q *QDA) Scores(x []float64) ([]float64, error) {
 	}
 	return out, nil
 }
+
+func (q *QDA) reserve(s *Scratch) { s.reserve(q.nc, q.p) }
 
 // Predict implements Classifier.
 func (q *QDA) Predict(x []float64) (int, error) {
@@ -203,12 +224,17 @@ func (q *QDA) Predict(x []float64) (int, error) {
 // PredictScored implements ScoredClassifier (softmax of the quadratic
 // discriminant values — the class posteriors).
 func (q *QDA) PredictScored(x []float64) (ScoredPrediction, error) {
+	return q.PredictScoredScratch(x, &Scratch{})
+}
+
+// PredictScoredScratch implements ScratchClassifier.
+func (q *QDA) PredictScoredScratch(x []float64, s *Scratch) (ScoredPrediction, error) {
 	qdaMet().predicts.Inc()
-	s, err := q.Scores(x)
+	sc, err := q.ScoresScratch(x, s)
 	if err != nil {
 		return ScoredPrediction{}, err
 	}
-	return scoredFromLogScores(s), nil
+	return scoredFromLogScores(sc, take(&s.post, len(sc))), nil
 }
 
 func argmax(s []float64) int {

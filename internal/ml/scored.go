@@ -22,7 +22,8 @@ type ScoredPrediction struct {
 	// coin-flip decision, approaching 1 for an unambiguous one.
 	Margin float64
 	// Posteriors holds every class's normalized score; entries are finite,
-	// lie in [0, 1] and sum to 1 (up to rounding).
+	// lie in [0, 1] and sum to 1 (up to rounding). From a Scratch-based
+	// call it aliases the Scratch.
 	Posteriors []float64
 }
 
@@ -52,15 +53,15 @@ type Scorer interface {
 // a hierarchical decoder has no downstream templates for to math.Inf(-1),
 // which gives them zero posterior and makes them unelectable.
 func ScoredFromLogScores(scores []float64) ScoredPrediction {
-	return scoredFromLogScores(scores)
+	return scoredFromLogScores(scores, make([]float64, len(scores)))
 }
 
 // scoredFromLogScores normalizes per-class scores that live in log space
-// (discriminant values, log posteriors) with a max-shifted softmax. The
-// winner is the score argmax — the same index Predict's argmax picks — so
-// label agreement is structural, not numerical.
-func scoredFromLogScores(scores []float64) ScoredPrediction {
-	post := make([]float64, len(scores))
+// (discriminant values, log posteriors) with a max-shifted softmax into
+// post (len(scores) values). The winner is the score argmax — the same
+// index Predict's argmax picks — so label agreement is structural, not
+// numerical.
+func scoredFromLogScores(scores, post []float64) ScoredPrediction {
 	best := argmax(scores)
 	var sum float64
 	for i, s := range scores {
@@ -75,10 +76,9 @@ func scoredFromLogScores(scores []float64) ScoredPrediction {
 }
 
 // scoredFromWeights normalizes non-negative per-class weights (vote counts,
-// optionally with a fractional tie-break component) by their sum. The winner
-// is the weight argmax.
-func scoredFromWeights(weights []float64) ScoredPrediction {
-	post := make([]float64, len(weights))
+// optionally with a fractional tie-break component) by their sum into post
+// (len(weights) values). The winner is the weight argmax.
+func scoredFromWeights(weights, post []float64) ScoredPrediction {
 	var sum float64
 	for _, w := range weights {
 		sum += w

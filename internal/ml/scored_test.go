@@ -212,13 +212,13 @@ func TestVoteScoredAgreesWithVote(t *testing.T) {
 // TestScoredHelpers pins the normalization helpers' edge cases.
 func TestScoredHelpers(t *testing.T) {
 	// Log scores with -Inf (impossible class) normalize cleanly.
-	sp := scoredFromLogScores([]float64{0, math.Inf(-1), -1})
+	sp := scoredFromLogScores([]float64{0, math.Inf(-1), -1}, make([]float64, 3))
 	if sp.Label != 0 || sp.Posteriors[1] != 0 {
 		t.Fatalf("log-score normalization: %+v", sp)
 	}
 	checkScored(t, "logscores", sp, 3)
 	// All-zero weights degenerate to uniform with winner 0.
-	sp = scoredFromWeights([]float64{0, 0, 0, 0})
+	sp = scoredFromWeights([]float64{0, 0, 0, 0}, make([]float64, 4))
 	if sp.Label != 0 || sp.Confidence != 0.25 || sp.Margin != 0 {
 		t.Fatalf("degenerate weights: %+v", sp)
 	}
@@ -234,5 +234,100 @@ func TestScoredHelpers(t *testing.T) {
 			t.Fatalf("squashMargin(%g) = %g not in (0,1) or not monotone", m, s)
 		}
 		prev = s
+	}
+}
+
+// samePrediction reports whether two scored predictions are bitwise equal.
+func samePrediction(a, b ScoredPrediction) bool {
+	if a.Label != b.Label || a.RunnerUp != b.RunnerUp || len(a.Posteriors) != len(b.Posteriors) ||
+		math.Float64bits(a.Confidence) != math.Float64bits(b.Confidence) ||
+		math.Float64bits(a.Margin) != math.Float64bits(b.Margin) {
+		return false
+	}
+	for i := range a.Posteriors {
+		if math.Float64bits(a.Posteriors[i]) != math.Float64bits(b.Posteriors[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPredictScoredScratchReuse pins the scratch contract. One Scratch is
+// shared by every family in turn, at three class counts and dimensions, so
+// each prediction finds the previous one's values in its buffers; it must
+// still return bitwise the prediction of a fresh PredictScored, and
+// ScoresScratch the scores of Scores. Once NewScratch has sized a Scratch
+// for all of them, a prediction through any of them allocates nothing.
+func TestPredictScoredScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	type fitted struct {
+		clf ScratchClassifier
+		dim int
+	}
+	var clfs []fitted
+	var all []Classifier
+	for _, shape := range []struct{ k, dim int }{{3, 4}, {5, 2}, {2, 6}} {
+		X, y := gaussianBlobs(rng, shape.k, 30, shape.dim, 5, 0.5)
+		for _, c := range allScoredClassifiers() {
+			if err := c.Fit(X, y); err != nil {
+				t.Fatalf("%s: fit: %v", c.Name(), err)
+			}
+			clfs = append(clfs, fitted{c.(ScratchClassifier), shape.dim})
+			all = append(all, c)
+		}
+	}
+	probe := func(dim int) []float64 {
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = rng.NormFloat64() * 6
+		}
+		return x
+	}
+	s := &Scratch{}
+	for trial := 0; trial < 30; trial++ {
+		for _, f := range clfs {
+			x := probe(f.dim)
+			want, err := f.clf.PredictScored(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.clf.PredictScoredScratch(x, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePrediction(got, want) {
+				t.Fatalf("%s: scratch prediction %+v != fresh %+v", f.clf.Name(), got, want)
+			}
+			if sc, ok := f.clf.(ScratchScorer); ok {
+				want, err := sc.Scores(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sc.ScoresScratch(x, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: scratch scores %v != fresh %v", f.clf.Name(), got, want)
+					}
+				}
+			}
+		}
+	}
+
+	sized := NewScratch(all...)
+	probes := make([][]float64, len(clfs))
+	for i, f := range clfs {
+		probes[i] = probe(f.dim)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i, f := range clfs {
+			if _, err := f.clf.PredictScoredScratch(probes[i], sized); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.0f allocations per round of scratch predictions, want 0", allocs)
 	}
 }

@@ -238,16 +238,18 @@ func (s *SVM) Fit(X [][]float64, y []int) error {
 }
 
 // voteTally accumulates the one-vs-one votes and per-class total margins
-// for x across all pair machines.
-func (s *SVM) voteTally(x []float64) (votes []int, margin []float64, err error) {
+// for x across all pair machines, written into s.
+func (s *SVM) voteTally(x []float64, sc *Scratch) (votes []int, margin []float64, err error) {
 	if len(s.machines) == 0 {
 		return nil, nil, errors.New("ml: SVM used before Fit")
 	}
 	if len(x) != s.p {
 		return nil, nil, errDim(len(x), s.p)
 	}
-	votes = make([]int, s.nc)
-	margin = make([]float64, s.nc)
+	votes = take(&sc.votes, s.nc)
+	margin = take(&sc.margin, s.nc)
+	clear(votes)
+	clear(margin)
 	for i, m := range s.machines {
 		d := m.decision(x)
 		a, b := s.pairs[i][0], s.pairs[i][1]
@@ -262,10 +264,12 @@ func (s *SVM) voteTally(x []float64) (votes []int, margin []float64, err error) 
 	return votes, margin, nil
 }
 
+func (s *SVM) reserve(sc *Scratch) { sc.reserve(s.nc, s.p) }
+
 // Predict implements Classifier.
 func (s *SVM) Predict(x []float64) (int, error) {
 	svmMet().predicts.Inc()
-	votes, margin, err := s.voteTally(x)
+	votes, margin, err := s.voteTally(x, &Scratch{})
 	if err != nil {
 		return 0, err
 	}
@@ -284,16 +288,21 @@ func (s *SVM) Predict(x []float64) (int, error) {
 // Predict's votes-then-margin tie-break exactly while still exposing how
 // decisively the winner won.
 func (s *SVM) PredictScored(x []float64) (ScoredPrediction, error) {
+	return s.PredictScoredScratch(x, &Scratch{})
+}
+
+// PredictScoredScratch implements ScratchClassifier.
+func (s *SVM) PredictScoredScratch(x []float64, sc *Scratch) (ScoredPrediction, error) {
 	svmMet().predicts.Inc()
-	votes, margin, err := s.voteTally(x)
+	votes, margin, err := s.voteTally(x, sc)
 	if err != nil {
 		return ScoredPrediction{}, err
 	}
-	w := make([]float64, s.nc)
+	w := take(&sc.scores, s.nc)
 	for c := range w {
 		w[c] = float64(votes[c]) + squashMargin(margin[c])
 	}
-	return scoredFromWeights(w), nil
+	return scoredFromWeights(w, take(&sc.post, len(w))), nil
 }
 
 // NumSupportVectors returns the total SV count across pair machines.

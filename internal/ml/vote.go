@@ -93,5 +93,5 @@ func (v *PairwiseVoter) VoteScored(pairFeatures [][]float64) (ScoredPrediction, 
 	if err != nil {
 		return ScoredPrediction{}, err
 	}
-	return scoredFromWeights(votes), nil
+	return scoredFromWeights(votes, make([]float64, len(votes))), nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -227,6 +228,42 @@ func TestRegistryRefusesLegacyTemplates(t *testing.T) {
 	for _, st := range reg.Statuses() {
 		if failed := st.Error != ""; failed != (st.Name != "demo") {
 			t.Fatalf("status %+v: only the legacy templates should report an error", st)
+		}
+	}
+}
+
+// TestRegistryTruncatedTemplateFailsClosed truncates a template on disk
+// after the registry opened (and mapped) it but before its first decode, as
+// an operator's in-place cp does. Materializing it faults on the mapping;
+// the fault must fail that template with 503 while the others keep serving
+// their exact labels.
+func TestRegistryTruncatedTemplateFailsClosed(t *testing.T) {
+	s, url := newTestServer(t, RegistryConfig{}, Config{})
+	dir := s.reg.dir
+	victim := writeTemplate(t, dir, "victim", fx.tpl)
+	if err := s.reg.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.reg.Get("victim"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(victim, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, data := postJSON(t, url+"/v1/disassemble/victim", jsonBody(fx.traces))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("truncated template answered %d, want 503: %s", resp.StatusCode, data)
+		}
+	}
+	resp, data := postJSON(t, url+"/v1/disassemble/demo", jsonBody(fx.traces))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy template answered %d next to a truncated one: %s", resp.StatusCode, data)
+	}
+	texts, _ := decodeTexts(t, data)
+	for i := range texts {
+		if texts[i] != fx.want[i] {
+			t.Fatalf("demo decode %d = %q next to a truncated template, want %q", i, texts[i], fx.want[i])
 		}
 	}
 }

@@ -167,17 +167,26 @@ func (z *ZScoreNormalizer) Fit(X [][]float64) error {
 
 // Apply returns the standardized copy of x.
 func (z *ZScoreNormalizer) Apply(x []float64) ([]float64, error) {
-	if len(z.Means) == 0 {
-		return nil, errors.New("stats: ZScoreNormalizer used before Fit")
-	}
-	if len(x) != len(z.Means) {
-		return nil, fmt.Errorf("stats: Apply dim %d, fitted for %d", len(x), len(z.Means))
-	}
 	out := make([]float64, len(x))
-	for j := range x {
-		out[j] = (x[j] - z.Means[j]) / z.Stds[j]
+	if err := z.ApplyInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// ApplyInto writes the standardized x into dst, which must have x's length;
+// dst and x may be the same slice (in-place standardization).
+func (z *ZScoreNormalizer) ApplyInto(dst, x []float64) error {
+	if len(z.Means) == 0 {
+		return errors.New("stats: ZScoreNormalizer used before Fit")
+	}
+	if len(x) != len(z.Means) || len(dst) != len(x) {
+		return fmt.Errorf("stats: Apply dim %d into %d, fitted for %d", len(x), len(dst), len(z.Means))
+	}
+	for j := range x {
+		dst[j] = (x[j] - z.Means[j]) / z.Stds[j]
+	}
+	return nil
 }
 
 // ApplyAll standardizes every row of X.
@@ -225,17 +234,18 @@ func NormalizeTrace(x []float64) []float64 {
 	if len(x) == 0 {
 		return out
 	}
-	NormalizeTraceInto(out, x)
+	m, sd := TraceNormParams(x)
+	NormalizeTraceWith(out, x, m, sd)
 	return out
 }
 
-// NormalizeTraceInto writes the NormalizeTrace result of x into dst; dst and
-// x may be the same slice (in-place normalization, used by the fit-time
-// scalogram cache to avoid a second full-plane allocation per trace).
-func NormalizeTraceInto(dst, x []float64) {
-	m, sd := TraceNormParams(x)
+// NormalizeTraceWith writes the NormalizeTrace result of x into dst, with
+// the parameters already taken (TraceNormParams of x), so a caller that
+// needs the moments for something else — the drift vector — reads the
+// trace for them once. dst and x may be the same slice.
+func NormalizeTraceWith(dst, x []float64, mean, std float64) {
 	for i, v := range x {
-		dst[i] = (v - m) / sd
+		dst[i] = (v - mean) / std
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 
@@ -191,27 +192,44 @@ func (f *File) HeaderState() *TemplateState { return f.hdr.State }
 // this file's materialized sections.
 func (f *File) ResidentBytes() int64 { return f.resident.Load() }
 
-// sectionBytes reads and CRC-checks one section, returning its on-disk
-// bytes (which may alias the mapping — callers copy or decode before the
-// file can close).
-func (f *File) sectionBytes(name string) (SectionInfo, []byte, error) {
+// readSection reads and CRC-checks one section and hands its on-disk bytes
+// to use, which decodes or copies them: the bytes may alias the mapping and
+// are valid only during the call. The reads run with memory faults turned
+// into panics (debug.SetPanicOnFault), and a fault is recovered into a
+// SectionError wrapping ErrFormat. A file truncated on disk under its
+// mapping raises SIGBUS on the pages past its new end; unrecovered, that
+// kills the process instead of failing the one template closed.
+func (f *File) readSection(name string, use func(info SectionInfo, raw []byte) error) (err error) {
 	if f.closed.Load() {
-		return SectionInfo{}, nil, fmt.Errorf("store: file is closed")
+		return fmt.Errorf("store: file is closed")
 	}
 	i, ok := f.byName[name]
 	if !ok {
-		return SectionInfo{}, nil, &SectionError{Section: name, Err: fmt.Errorf("%w: no such section", ErrFormat)}
+		return &SectionError{Section: name, Err: fmt.Errorf("%w: no such section", ErrFormat)}
 	}
 	info := f.hdr.Sections[i]
 	raw, err := f.src.bytes(f.payloadOff+info.Offset, info.byteLen())
 	if err != nil {
-		return SectionInfo{}, nil, &SectionError{Section: name, Err: err}
+		return &SectionError{Section: name, Err: err}
 	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		fault, ok := r.(interface{ Addr() uintptr })
+		if !ok {
+			panic(r)
+		}
+		met.sectionErrors.Inc()
+		err = &SectionError{Section: name, Err: fmt.Errorf("%w: memory fault at %#x reading the mapped file (truncated on disk?)", ErrFormat, fault.Addr())}
+	}()
 	if got := crc32.Checksum(raw, castagnoli); got != info.CRC {
 		met.sectionErrors.Inc()
-		return SectionInfo{}, nil, &SectionError{Section: name, Err: fmt.Errorf("%w: CRC mismatch (corrupted section)", ErrFormat)}
+		return &SectionError{Section: name, Err: fmt.Errorf("%w: CRC mismatch (corrupted section)", ErrFormat)}
 	}
-	return info, raw, nil
+	return use(info, raw)
 }
 
 // LoadSection reads, CRC-checks and decodes one matrix section. Corruption
@@ -219,14 +237,16 @@ func (f *File) sectionBytes(name string) (SectionInfo, []byte, error) {
 // other sections of the same file remain loadable. Aux sections hold gob
 // blobs, not floats — load those with LoadSectionBytes.
 func (f *File) LoadSection(name string) ([]float64, error) {
-	info, raw, err := f.sectionBytes(name)
-	if err != nil {
+	var data []float64
+	if err := f.readSection(name, func(info SectionInfo, raw []byte) error {
+		if info.Encoding == EncRaw {
+			return &SectionError{Section: name, Err: errors.New("store: raw section holds no float payload (use LoadSectionBytes)")}
+		}
+		data = decodeFloats(raw, info.Encoding)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	if info.Encoding == EncRaw {
-		return nil, &SectionError{Section: name, Err: errors.New("store: raw section holds no float payload (use LoadSectionBytes)")}
-	}
-	data := decodeFloats(raw, info.Encoding)
 	met.sectionsLoaded.Inc()
 	met.bytesResident.Add(float64(8 * len(data)))
 	f.resident.Add(int64(8 * len(data)))
@@ -237,11 +257,13 @@ func (f *File) LoadSection(name string) ([]float64, error) {
 // its raw on-disk bytes — the gob blob for aux sections, the encoded float
 // stream for matrix sections.
 func (f *File) LoadSectionBytes(name string) ([]byte, error) {
-	_, raw, err := f.sectionBytes(name)
-	if err != nil {
+	var out []byte
+	if err := f.readSection(name, func(_ SectionInfo, raw []byte) error {
+		out = append([]byte(nil), raw...)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	out := append([]byte(nil), raw...)
 	met.sectionsLoaded.Inc()
 	met.bytesResident.Add(float64(len(out)))
 	f.resident.Add(int64(len(out)))

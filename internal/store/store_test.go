@@ -10,7 +10,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dsp"
@@ -560,5 +562,45 @@ func TestClosedFileRefusesLoads(t *testing.T) {
 	}
 	if _, err := f.Template(); err == nil {
 		t.Fatal("Template succeeded on a closed file")
+	}
+}
+
+// TestTruncatedMappingFailsClosed pins what happens when a mapped template
+// is truncated on disk (an in-place cp over a served file) before its
+// sections are read: touching a page past the new end raises SIGBUS, which
+// must surface as a SectionError wrapping ErrFormat, not kill the process.
+// The handle stays usable for shape questions, and a later read fails the
+// same way.
+func TestTruncatedMappingFailsClosed(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("only the linux build maps template files")
+	}
+	path := filepath.Join(t.TempDir(), "demo.tpl")
+	if err := WriteFile(path, tinyState(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		_, err := f.Template()
+		var se *SectionError
+		if !errors.As(err, &se) || !errors.Is(err, ErrFormat) {
+			t.Fatalf("materializing a truncated mapping: error %v, want a SectionError wrapping ErrFormat", err)
+		}
+		if !strings.Contains(err.Error(), "memory fault") {
+			t.Fatalf("error %q does not report the fault", err)
+		}
+	}
+	if _, err := f.LoadSection("group/pca"); !errors.Is(err, ErrFormat) {
+		t.Fatalf("LoadSection on a truncated mapping: %v, want ErrFormat", err)
+	}
+	if f.HeaderState().Group.Pipe == nil {
+		t.Fatal("header state lost after a faulted read")
 	}
 }

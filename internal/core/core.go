@@ -179,6 +179,9 @@ type groupLevel struct {
 	clf  ml.Classifier
 }
 
+// trained reports whether the level carries templates.
+func (g groupLevel) trained() bool { return g.pipe != nil && g.clf != nil }
+
 // Disassembler is a fully trained hierarchical template set.
 //
 // Concurrency: a trained Disassembler is immutable, so Classify,
@@ -246,7 +249,9 @@ func (d *Disassembler) Classify(trace []float64) (Decoded, error) {
 	}
 	s := d.getScratch()
 	defer d.scratch.Put(s)
-	dec, err := d.decode(trace, s, nil, s.levels[:0])
+	ls := [1]lane{newLane(trace, s, nil, s.levels[:])}
+	d.decode(ls[:])
+	dec, err := ls[0].result()
 	return dec.Decoded, err
 }
 
@@ -271,9 +276,9 @@ func operandRegisters(k avr.OperandKind, c avr.Class) (rd, rr bool) {
 }
 
 // Disassemble decodes a stream of traces (one per executed instruction)
-// into a listing. The per-trace classifications run on the
-// parallel.Workers() pool; the output (and, on failure, the decoded prefix
-// plus the lowest-index error) is identical to classifying serially.
+// into a listing. The classifications run on the parallel.Workers() pool,
+// two adjacent traces per walk; the output (and, on failure, the decoded
+// prefix plus the lowest-index error) is identical to classifying serially.
 func (d *Disassembler) Disassemble(traces [][]float64) ([]Decoded, error) {
 	return d.DisassembleCtx(context.Background(), traces)
 }
@@ -298,25 +303,11 @@ func (d *Disassembler) DisassembleCtx(ctx context.Context, traces [][]float64) (
 	defer span.End()
 	span.SetAttr("traces", float64(len(traces)))
 	out := make([]Decoded, len(traces))
-	var (
-		mu       sync.Mutex
-		failIdx  = len(traces)
-		failWith error
-	)
-	ctxErr := parallel.ForCtx(ctx, len(traces), func(i int) {
-		dec, err := d.Classify(traces[i])
-		if err != nil {
-			mu.Lock()
-			if i < failIdx {
-				failIdx, failWith = i, err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = dec
+	failIdx, failWith, ctxErr := d.batch(ctx, span, traces, nil, func(i int, dec Decision, _ *decodeScratch) {
+		out[i] = dec.Decoded
 	})
 	if failWith != nil {
-		return out[:failIdx], fmt.Errorf("core: trace %d: %w", failIdx, failWith)
+		return out[:failIdx], failWith
 	}
 	if ctxErr != nil {
 		return nil, ctxErr
@@ -330,12 +321,12 @@ func (d *Disassembler) DisassembleScored(traces [][]float64) ([]Decision, error)
 }
 
 // DisassembleScoredCtx decodes a stream of traces with per-decision
-// confidence. Classification fans out over the parallel.Workers() pool;
-// the installed observer is then fed serially in trace-stream order, so the
-// decision log's sampled records and the drift monitor's window contents
-// are identical to a serial run regardless of worker count. Error semantics
-// match DisassembleCtx (decoded prefix + lowest-index error; observer sees
-// only the clean prefix).
+// confidence. Classification fans out over the parallel.Workers() pool in
+// the same pairs as Disassemble; the installed observer is then fed
+// serially in trace-stream order, so the decision log's sampled records and
+// the drift monitor's window contents are identical to a serial run
+// regardless of worker count. Error semantics match DisassembleCtx (decoded
+// prefix + lowest-index error; observer sees only the clean prefix).
 func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]float64) ([]Decision, error) {
 	ctx, span := obs.Span(ctx, "core.disassemble")
 	defer span.End()
@@ -350,46 +341,14 @@ func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]floa
 	if o := d.observer; o != nil && o.Drift != nil {
 		drift = make([]float64, features.NumDriftFeatures*len(traces))
 	}
-	driftVec := func(i int) []float64 {
-		if drift == nil {
-			return nil
-		}
-		return drift[features.NumDriftFeatures*i : features.NumDriftFeatures*(i+1)]
-	}
-	var (
-		mu       sync.Mutex
-		failIdx  = len(traces)
-		failWith error
-	)
-	ctxErr := parallel.ForCtx(ctx, len(traces), func(i int) {
-		// Per-trace fine span: only request tracers (Fine=true) pay for it;
-		// the CLI session tracer and untraced batches skip at the flag check.
-		tsp := span.FineChild("core.classify")
-		tsp.SetAttr("trace", float64(i))
-		s := d.getScratch()
-		dec, err := d.decode(traces[i], s, tsp, levels[maxLevels*i:maxLevels*i:maxLevels*(i+1)])
-		if err == nil {
-			d.driftVector(s, driftVec(i))
-		}
-		d.scratch.Put(s)
-		if err != nil {
-			tsp.SetAttr("error", 1)
-			tsp.End()
-			mu.Lock()
-			if i < failIdx {
-				failIdx, failWith = i, err
-			}
-			mu.Unlock()
-			return
-		}
-		tsp.SetAttr("confidence", dec.Confidence)
-		tsp.End()
+	failIdx, failWith, ctxErr := d.batch(ctx, span, traces, levels, func(i int, dec Decision, s *decodeScratch) {
+		d.driftVector(s, driftSlot(drift, i))
 		out[i] = dec
 	})
 	if ctxErr == nil {
 		var confSum float64
 		for i := 0; i < failIdx; i++ {
-			d.feedObserver(out[i], driftVec(i))
+			d.feedObserver(out[i], driftSlot(drift, i))
 			confSum += out[i].Confidence
 		}
 		if failIdx > 0 {
@@ -404,12 +363,78 @@ func (d *Disassembler) DisassembleScoredCtx(ctx context.Context, traces [][]floa
 		}
 	}
 	if failWith != nil {
-		return out[:failIdx], fmt.Errorf("core: trace %d: %w", failIdx, failWith)
+		return out[:failIdx], failWith
 	}
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
 	return out, nil
+}
+
+// batch is the loop of both batch decodes. It decodes the traces on the
+// parallel.Workers() pool, adjacent traces (2i, 2i+1) as one two-lane walk;
+// the last trace of an odd batch walks alone. done receives every decoded
+// trace with its index and scratch, before the scratch returns to the pool.
+// A Decision's Levels are a window into levels (maxLevels per trace), or
+// into the scratch when levels is nil because no decision leaves the call.
+// batch returns the lowest failing index (len(traces) when none) with its
+// error, and ctx's error when scheduling stopped.
+func (d *Disassembler) batch(ctx context.Context, span *obs.SpanHandle, traces [][]float64, levels []obs.DecisionLevel, done func(i int, dec Decision, s *decodeScratch)) (failIdx int, failWith, ctxErr error) {
+	const per = 2
+	var fail struct {
+		sync.Mutex
+		idx int
+		err error
+	}
+	fail.idx = len(traces)
+	ctxErr = parallel.ForCtx(ctx, (len(traces)+per-1)/per, func(u int) {
+		var ls [per]lane
+		lo, hi := u*per, min(u*per+per, len(traces))
+		for i := lo; i < hi; i++ {
+			// Per-trace fine span: only request tracers (Fine=true) pay for
+			// it; the CLI session tracer and untraced batches skip at the
+			// flag check.
+			tsp := span.FineChild("core.classify")
+			tsp.SetAttr("trace", float64(i))
+			s := d.getScratch()
+			lv := s.levels[:]
+			if levels != nil {
+				lv = levels[maxLevels*i : maxLevels*(i+1) : maxLevels*(i+1)]
+			}
+			ls[i-lo] = newLane(traces[i], s, tsp, lv)
+		}
+		d.decode(ls[:hi-lo])
+		for i := lo; i < hi; i++ {
+			l := &ls[i-lo]
+			dec, err := l.result()
+			if err == nil {
+				done(i, dec, l.s)
+			}
+			d.scratch.Put(l.s)
+			if err != nil {
+				l.tsp.SetAttr("error", 1)
+				l.tsp.End()
+				fail.Lock()
+				if i < fail.idx {
+					fail.idx, fail.err = i, fmt.Errorf("core: trace %d: %w", i, err)
+				}
+				fail.Unlock()
+				continue
+			}
+			l.tsp.SetAttr("confidence", dec.Confidence)
+			l.tsp.End()
+		}
+	})
+	return fail.idx, fail.err, ctxErr
+}
+
+// driftSlot returns trace i's drift vector in a batch's drift array, or nil
+// when the batch keeps none.
+func driftSlot(drift []float64, i int) []float64 {
+	if drift == nil {
+		return nil
+	}
+	return drift[features.NumDriftFeatures*i : features.NumDriftFeatures*(i+1)]
 }
 
 // Listing renders decoded instructions as assembler text.

@@ -12,12 +12,15 @@ import (
 	"repro/internal/stats"
 )
 
-// The single-trace decode. Classify, ClassifyScored, Disassemble and the
-// scored batch all run one hierarchy walk over one pooled per-call scratch.
-// The trace is validated and its time-domain moments are taken once: they
-// are both the NormTrace parameters and the drift vector. The normalized
-// trace is written once, and every level crossed evaluates its cells,
-// z-score, PCA projection and scored classifier into the same buffers. A
+// The trace decode. Classify, ClassifyScored and both batch decodes run one
+// hierarchy walk over pooled per-call scratch. The walk carries one or two
+// lanes, each one trace with its own scratch: a batch decode hands it
+// adjacent traces in pairs, so a level both traces reach through the same
+// pipeline evaluates their cells in one pass over its kernel windows. Each
+// trace is validated and its time-domain moments are taken once: they are
+// both the NormTrace parameters and the drift vector. The normalized trace
+// is written once, and every level crossed evaluates its cells, z-score,
+// PCA projection and scored classifier into the lane's buffers. A
 // steady-state decode allocates nothing of its own; only the Levels of a
 // Decision that leaves the call get memory, never the pooled scratch's.
 
@@ -50,7 +53,8 @@ type decodeScratch struct {
 	feat      []float64 // a level's classifier input
 	pred      *ml.Scratch
 	// levels holds the per-level outcomes of a decode whose Decision never
-	// leaves the call (Classify); drift the drift vector of ClassifyScored.
+	// leaves the call (Classify and the plain batch); drift the drift
+	// vector of ClassifyScored.
 	levels [maxLevels]obs.DecisionLevel
 	drift  [features.NumDriftFeatures]float64
 }
@@ -85,7 +89,7 @@ func (d *Disassembler) getScratch() *decodeScratch {
 func (d *Disassembler) trainedLevels() []groupLevel {
 	var out []groupLevel
 	for _, lvl := range append([]groupLevel{d.group, d.rd, d.rr}, d.instr[:]...) {
-		if lvl.pipe != nil && lvl.clf != nil {
+		if lvl.trained() {
 			out = append(out, lvl)
 		}
 	}
@@ -100,126 +104,217 @@ func grow(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-// decode validates one trace and walks it through the sparse per-cell path
-// in s, appending the per-level outcomes to levels (capacity maxLevels). It
-// counts the trace as classified or rejected and leaves its moments in s,
-// but does not feed the observer.
-func (d *Disassembler) decode(trace []float64, s *decodeScratch, tsp *obs.SpanHandle, levels []obs.DecisionLevel) (Decision, error) {
-	if d.group.pipe == nil || d.group.clf == nil {
-		return Decision{}, ErrNotTrained
-	}
-	if err := power.ValidateTrace(trace, d.group.pipe.TraceLen()); err != nil {
-		met().rejected.Inc()
-		return Decision{}, fmt.Errorf("core: rejecting trace: %w", err)
-	}
-	s.mean, s.std = stats.TraceNormParams(trace)
-	var norm []float64 // written when the first NormTrace level asks for it
-	dec, err := d.walk(s.pred, func(pl *features.Pipeline) ([]float64, error) {
-		x := trace
-		if pl.Config().PerTraceNorm {
-			if norm == nil {
-				norm = grow(&s.norm, len(trace))
-				stats.NormalizeTraceWith(norm, trace, s.mean, s.std)
-			}
-			x = norm
-		}
-		out := grow(&s.feat, pl.NumFeatures())
-		if err := pl.ExtractSparseInto(out, grow(&s.cells, pl.NumPoints()), x); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}, tsp, levels)
-	if err != nil {
-		met().rejected.Inc()
-		return Decision{}, err
-	}
-	met().classified.Inc()
-	return dec, nil
+// lane is one trace's pass through the walk.
+type lane struct {
+	trace []float64
+	s     *decodeScratch
+	tsp   *obs.SpanHandle // per-trace parent span; nil when untraced
+	dec   Decision
+	err   error // set once the trace is rejected or fails; the lane is then done
+
+	norm   []float64       // the trace standardized once, when a NormTrace level asks
+	lvl    groupLevel      // the level the lane runs at the current stage; zero for none
+	lsp    *obs.SpanHandle // that level's span
+	feat   []float64       // that level's classifier input
+	label  int             // the label the lane's last level decided
+	needRr bool            // the decoded class carries an Rr operand
 }
 
-// walk is the hierarchy walk. extract maps a level's pipeline to its
-// classifier input: the sparse extraction into the decode scratch at
-// inference, Pipeline.Extract when the accuracy gate decodes a second time
-// as the sparse path's oracle. Each level's scored decision, predicted in
-// pred, is appended to levels. tsp, when non-nil, is the per-trace parent
-// span; each level records a wall-only child span under it
-// (core.classify.group/instr/rd/rr).
-func (d *Disassembler) walk(pred *ml.Scratch, extract func(*features.Pipeline) ([]float64, error), tsp *obs.SpanHandle, levels []obs.DecisionLevel) (Decision, error) {
-	dec := Decision{Confidence: 1, Levels: levels[:0]}
-	gi, err := d.level(&dec, levelGroup, d.group, pred, extract, tsp)
-	if err != nil {
-		return Decision{}, err
-	}
-	if gi < 0 || gi >= avr.NumGroups {
-		return Decision{}, fmt.Errorf("core: group label %d out of range", gi)
-	}
-	lvl := d.instr[gi]
-	if lvl.pipe == nil || lvl.clf == nil {
-		return Decision{}, fmt.Errorf("core: no instruction templates for group %d: %w", gi+1, ErrNotTrained)
-	}
-	ii, err := d.level(&dec, levelInstr, lvl, pred, extract, tsp)
-	if err != nil {
-		return Decision{}, err
-	}
-	if ii < 0 || ii >= len(d.instrClass[gi]) {
-		return Decision{}, fmt.Errorf("core: instruction label %d out of range for group %d", ii, gi+1)
-	}
-	cls := d.instrClass[gi][ii]
-	dec.Decoded = Decoded{Class: cls, Group: cls.Group()}
-
-	if d.haveRegs {
-		sp := avr.SpecOf(cls)
-		needRd, needRr := operandRegisters(sp.Operands, cls)
-		if needRd {
-			r, err := d.level(&dec, levelRd, d.rd, pred, extract, tsp)
-			if err != nil {
-				return Decision{}, err
-			}
-			dec.Rd, dec.HasRd = uint8(r), true
-		}
-		if needRr {
-			r, err := d.level(&dec, levelRr, d.rr, pred, extract, tsp)
-			if err != nil {
-				return Decision{}, err
-			}
-			dec.Rr, dec.HasRr = uint8(r), true
-		}
-	}
-	return dec, nil
+// newLane starts one trace's pass in scratch s. tsp is the per-trace parent
+// span (nil when untraced); the Decision's Levels are appended into levels,
+// which must have capacity maxLevels.
+func newLane(trace []float64, s *decodeScratch, tsp *obs.SpanHandle, levels []obs.DecisionLevel) lane {
+	return lane{trace: trace, s: s, tsp: tsp, dec: Decision{Confidence: 1, Levels: levels[:0]}}
 }
 
-// level decides one hierarchy level and records it into dec. The group
-// level's decision is restricted to trained groups (remapGroup) before it
-// is recorded.
-func (d *Disassembler) level(dec *Decision, id levelID, lvl groupLevel, pred *ml.Scratch, extract func(*features.Pipeline) ([]float64, error), tsp *obs.SpanHandle) (int, error) {
-	var lsp *obs.SpanHandle
-	if tsp != nil {
-		lsp = tsp.Child(levelSpans[id])
-		defer lsp.End()
+// result returns the lane's Decision, or its error and a zero Decision.
+func (l *lane) result() (Decision, error) {
+	if l.err != nil {
+		return Decision{}, l.err
 	}
-	f, err := extract(lvl.pipe)
-	if err != nil {
-		return 0, fmt.Errorf("core: %s features: %w", levelNames[id], err)
+	return l.dec, nil
+}
+
+// input returns the trace as pl reads it: the raw trace, or for a NormTrace
+// pipeline the lane's normalized copy, written on first use.
+func (l *lane) input(pl *features.Pipeline) []float64 {
+	if !pl.Config().PerTraceNorm {
+		return l.trace
 	}
-	sp, err := predictScored(lvl.clf, f, pred)
+	if l.norm == nil {
+		l.norm = grow(&l.s.norm, len(l.trace))
+		stats.NormalizeTraceWith(l.norm, l.trace, l.s.mean, l.s.std)
+	}
+	return l.norm
+}
+
+// decode validates each lane's trace and walks the valid ones through the
+// hierarchy together, leaving each lane's Decision or error in it. It
+// counts every trace as classified or rejected and leaves its moments in
+// its scratch, but does not feed the observer.
+func (d *Disassembler) decode(ls []lane) {
+	if !d.group.trained() {
+		for k := range ls {
+			ls[k].err = ErrNotTrained
+		}
+		return
+	}
+	for k := range ls {
+		l := &ls[k]
+		if err := power.ValidateTrace(l.trace, d.group.pipe.TraceLen()); err != nil {
+			l.err = fmt.Errorf("core: rejecting trace: %w", err)
+			continue
+		}
+		l.s.mean, l.s.std = stats.TraceNormParams(l.trace)
+	}
+	d.walk(ls)
+	for k := range ls {
+		if ls[k].err != nil {
+			met().rejected.Inc()
+		} else {
+			met().classified.Inc()
+		}
+	}
+}
+
+// walk is the hierarchy walk, one stage per level: group, instruction, Rd,
+// Rr. Between stages it routes every live lane to its next level, or to
+// none when its class carries no such register; a lane whose label is out
+// of range, or whose next level carries no templates, fails and leaves the
+// walk.
+func (d *Disassembler) walk(ls []lane) {
+	for k := range ls {
+		if ls[k].err == nil {
+			ls[k].lvl = d.group
+		}
+	}
+	d.stage(ls, levelGroup)
+	for k := range ls {
+		l := &ls[k]
+		if l.err != nil {
+			continue
+		}
+		switch gi := l.label; {
+		case gi < 0 || gi >= avr.NumGroups:
+			l.err = fmt.Errorf("core: group label %d out of range", gi)
+		case !d.trainedGroup(gi):
+			l.err = fmt.Errorf("core: no instruction templates for group %d: %w", gi+1, ErrNotTrained)
+		default:
+			l.lvl = d.instr[gi]
+		}
+	}
+	d.stage(ls, levelInstr)
+	for k := range ls {
+		l := &ls[k]
+		if l.err != nil {
+			continue
+		}
+		gi, ii := l.dec.Levels[0].Label, l.label
+		if ii < 0 || ii >= len(d.instrClass[gi]) {
+			l.err = fmt.Errorf("core: instruction label %d out of range for group %d", ii, gi+1)
+			continue
+		}
+		cls := d.instrClass[gi][ii]
+		l.dec.Decoded = Decoded{Class: cls, Group: cls.Group()}
+		if d.haveRegs {
+			needRd, needRr := operandRegisters(avr.SpecOf(cls).Operands, cls)
+			switch {
+			case needRd && !d.rd.trained():
+				l.err = fmt.Errorf("core: no rd templates: %w", ErrNotTrained)
+			case needRr && !d.rr.trained():
+				l.err = fmt.Errorf("core: no rr templates: %w", ErrNotTrained)
+			case needRd:
+				l.lvl = d.rd
+			}
+			l.needRr = needRr
+		}
+	}
+	d.stage(ls, levelRd)
+	for k := range ls {
+		if l := &ls[k]; l.err == nil && l.needRr {
+			l.lvl = d.rr
+		}
+	}
+	d.stage(ls, levelRr)
+}
+
+// stage runs level id for every lane routed to one. Two lanes routed through
+// the same pipeline share one pass over its kernel windows
+// (features.Pipeline.ExtractSparseInto2); a lane routed alone extracts
+// alone. Each lane then classifies its own features and records the level.
+// When a lane carries a per-trace span, the level gets a wall-only child
+// span under it (core.classify.group/instr/rd/rr); a shared pass lies inside
+// both lanes' spans.
+func (d *Disassembler) stage(ls []lane, id levelID) {
+	for k := range ls {
+		if l := &ls[k]; l.lvl.pipe != nil {
+			l.lsp = l.tsp.Child(levelSpans[id])
+		}
+	}
+	if len(ls) == 2 && ls[0].lvl.pipe != nil && ls[0].lvl.pipe == ls[1].lvl.pipe {
+		a, b := &ls[0], &ls[1]
+		pl := a.lvl.pipe
+		a.feat, b.feat = grow(&a.s.feat, pl.NumFeatures()), grow(&b.s.feat, pl.NumFeatures())
+		cells0, cells1 := grow(&a.s.cells, pl.NumPoints()), grow(&b.s.cells, pl.NumPoints())
+		if err := pl.ExtractSparseInto2(a.feat, b.feat, cells0, cells1, a.input(pl), b.input(pl)); err != nil {
+			a.err = fmt.Errorf("core: %s features: %w", levelNames[id], err)
+			b.err = a.err
+		}
+	} else {
+		for k := range ls {
+			l := &ls[k]
+			if pl := l.lvl.pipe; pl != nil {
+				l.feat = grow(&l.s.feat, pl.NumFeatures())
+				if err := pl.ExtractSparseInto(l.feat, grow(&l.s.cells, pl.NumPoints()), l.input(pl)); err != nil {
+					l.err = fmt.Errorf("core: %s features: %w", levelNames[id], err)
+				}
+			}
+		}
+	}
+	for k := range ls {
+		l := &ls[k]
+		if l.lvl.pipe == nil {
+			continue
+		}
+		if l.err == nil {
+			d.decide(l, id)
+		}
+		l.lsp.End()
+		l.lvl, l.lsp = groupLevel{}, nil
+	}
+}
+
+// decide classifies the lane's features at level id and records the outcome
+// into its Decision. The group level's decision is restricted to trained
+// groups (remapGroup) before it is recorded.
+func (d *Disassembler) decide(l *lane, id levelID) {
+	pred := l.s.pred
+	sp, err := predictScored(l.lvl.clf, l.feat, pred)
 	if err != nil {
-		return 0, fmt.Errorf("core: %s classify: %w", levelNames[id], err)
+		l.err = fmt.Errorf("core: %s classify: %w", levelNames[id], err)
+		return
 	}
 	if id == levelGroup {
-		sp = d.remapGroup(f, sp, pred)
+		sp = d.remapGroup(l.feat, sp, pred)
 	}
-	lsp.SetAttr("label", float64(sp.Label))
-	lsp.SetAttr("confidence", sp.Confidence)
-	lsp.SetAttr("margin", sp.Margin)
-	dec.Levels = append(dec.Levels, obs.DecisionLevel{
+	l.lsp.SetAttr("label", float64(sp.Label))
+	l.lsp.SetAttr("confidence", sp.Confidence)
+	l.lsp.SetAttr("margin", sp.Margin)
+	l.dec.Levels = append(l.dec.Levels, obs.DecisionLevel{
 		Level:      levelNames[id],
 		Label:      sp.Label,
 		RunnerUp:   sp.RunnerUp,
 		Confidence: sp.Confidence,
 		Margin:     sp.Margin,
 	})
-	dec.Confidence *= sp.Confidence
-	return sp.Label, nil
+	l.dec.Confidence *= sp.Confidence
+	l.label = sp.Label
+	switch id {
+	case levelRd:
+		l.dec.Rd, l.dec.HasRd = uint8(sp.Label), true
+	case levelRr:
+		l.dec.Rr, l.dec.HasRr = uint8(sp.Label), true
+	}
 }
 
 // predictScored runs the classifier's scored path in pred when it has one
@@ -239,7 +334,7 @@ func predictScored(clf ml.Classifier, f []float64, pred *ml.Scratch) (ml.ScoredP
 
 // trainedGroup reports whether group label gi carries instruction templates.
 func (d *Disassembler) trainedGroup(gi int) bool {
-	return gi >= 0 && gi < avr.NumGroups && d.instr[gi].pipe != nil && d.instr[gi].clf != nil
+	return gi >= 0 && gi < avr.NumGroups && d.instr[gi].trained()
 }
 
 // remapGroup redirects a group decision that landed on a group without

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/avr"
+	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -16,32 +17,47 @@ import (
 	"repro/internal/stats"
 )
 
-// regFixture shares one trained register template (EOR and MOV with the Rd
-// and Rr levels) and held-out traces of it across the decode tests.
-var regFixture struct {
+// registerTemplate is a trained register subset template (its classes with
+// the Rd and Rr levels) with 16 held-out traces whose instructions cycle
+// through the classes, shared across the decode tests.
+type registerTemplate struct {
 	once   sync.Once
 	d      *Disassembler
 	traces [][]float64
 	err    error
 }
 
+var regFixture, rdOnlyFix registerTemplate
+
+// registerFixture is the EOR and MOV template: both group 1, both with Rd
+// and Rr, so a pair of its traces crosses the same four levels.
 func registerFixture(t testing.TB) (*Disassembler, [][]float64) {
+	return regFixture.get(t, avr.OpEOR, avr.OpMOV)
+}
+
+// rdOnlyFixture adds INC, a group 3 class with Rd only, to registerFixture's
+// classes, so a pair of adjacent traces can take different instruction
+// levels and one lane can skip Rr.
+func rdOnlyFixture(t testing.TB) (*Disassembler, [][]float64) {
+	return rdOnlyFix.get(t, avr.OpEOR, avr.OpMOV, avr.OpINC)
+}
+
+func (f *registerTemplate) get(t testing.TB, classes ...avr.Class) (*Disassembler, [][]float64) {
 	t.Helper()
-	regFixture.once.Do(func() {
+	f.once.Do(func() {
 		cfg := smallConfig()
 		cfg.Programs = 3
 		cfg.TracesPerProgram = 8
 		cfg.RegisterPrograms = 3
 		cfg.RegisterTracesPerProgram = 8
-		classes := []avr.Class{avr.OpEOR, avr.OpMOV}
 		d, err := TrainSubset(cfg, classes, true)
 		if err != nil {
-			regFixture.err = err
+			f.err = err
 			return
 		}
 		camp, err := power.NewCampaign(cfg.Power, 0, 977)
 		if err != nil {
-			regFixture.err = err
+			f.err = err
 			return
 		}
 		rng := rand.New(rand.NewSource(5))
@@ -49,13 +65,13 @@ func registerFixture(t testing.TB) (*Disassembler, [][]float64) {
 		for i := range stream {
 			stream[i] = avr.RandomOperands(rng, classes[i%len(classes)])
 		}
-		regFixture.traces, regFixture.err = camp.AcquireSegments(rng, power.NewProgramEnv(cfg.Power, 977, 2), stream)
-		regFixture.d = d
+		f.traces, f.err = camp.AcquireSegments(rng, power.NewProgramEnv(cfg.Power, 977, 2), stream)
+		f.d = d
 	})
-	if regFixture.err != nil {
-		t.Fatal(regFixture.err)
+	if f.err != nil {
+		t.Fatal(f.err)
 	}
-	return regFixture.d, regFixture.traces
+	return f.d, f.traces
 }
 
 // sameBits reports whether two float slices are bitwise equal.
@@ -131,14 +147,15 @@ func TestScratchExtractionMatchesExtractSparse(t *testing.T) {
 }
 
 // publicDecision decodes one trace level by level through the public calls
-// (ExtractSparse, PredictScored, and Scores + ScoredFromLogScores for a
-// group decision restricted to trained groups) — the reference the pooled
-// walk must reproduce bit for bit.
-func publicDecision(t *testing.T, d *Disassembler, trace []float64) Decision {
+// (extract, PredictScored, and Scores + ScoredFromLogScores for a group
+// decision restricted to trained groups). With ExtractSparse as extract it
+// is the reference the pooled walk must reproduce bit for bit; with the
+// full-CWT Extract it is the accuracy gate's oracle.
+func publicDecision(t *testing.T, d *Disassembler, trace []float64, extract func(*features.Pipeline, []float64) ([]float64, error)) Decision {
 	t.Helper()
 	dec := Decision{Confidence: 1}
 	level := func(name string, lvl groupLevel, group bool) int {
-		f, err := lvl.pipe.ExtractSparse(trace)
+		f, err := extract(lvl.pipe, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +201,7 @@ func TestClassifyScoredMatchesPublicCalls(t *testing.T) {
 	d, traces := registerFixture(t)
 	regs := 0
 	for i, tr := range traces {
-		want := publicDecision(t, d, tr)
+		want := publicDecision(t, d, tr, (*features.Pipeline).ExtractSparse)
 		got, err := d.ClassifyScored(tr)
 		if err != nil {
 			t.Fatal(err)
@@ -249,12 +266,43 @@ func TestDecodeAllocationBudget(t *testing.T) {
 	t.Logf("allocs per decode: Classify %.0f, ClassifyScored with a drift monitor %.0f", plain, scored)
 }
 
+// TestSampledOutDecisionsBuildNoRecord pins that the decision log builds a
+// record only for the decisions it keeps: with a log that keeps 1 in 10⁶,
+// ClassifyScored allocates no more than with no log, while the log still
+// counts every decision.
+func TestSampledOutDecisionsBuildNoRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates and drops pooled items; allocation counts are meaningless under -race")
+	}
+	d, traces := registerFixture(t)
+	const runs = 200
+	i := 0
+	decode := func() {
+		i++
+		if _, err := d.ClassifyScored(traces[i%len(traces)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withObserver(t, d, nil)
+	none := testing.AllocsPerRun(runs, decode)
+	log := obs.NewDecisionLog(io.Discard, 1_000_000)
+	d.SetObserver(&InferenceObserver{Log: log})
+	sampled := testing.AllocsPerRun(runs, decode)
+	if sampled > none {
+		t.Errorf("ClassifyScored with a 1-in-10^6 decision log: %.0f allocs per decode, %.0f with no log", sampled, none)
+	}
+	if got := log.Seen(); got != runs+1 {
+		t.Errorf("decision log saw %d decisions, want %d", got, runs+1)
+	}
+}
+
 // TestConcurrentDecodesMatchSerial runs the scored batch at 4 workers twice
-// at once while two more goroutines call ClassifyScored, all against one
-// Disassembler with a decision log and drift monitor installed: every
-// decision must equal the serial decode, so no two decodes share scratch.
-// A later batch must leave an earlier batch's Levels unchanged, so no
-// decision aliases pooled memory.
+// at once (16 traces, decoded in pairs), a 3-trace scored batch (a pair and
+// a lone trace) and a 64-trace plain batch (paired) while two more
+// goroutines call ClassifyScored, all against one Disassembler with a
+// decision log and drift monitor installed: every decision must equal the
+// serial decode, so no two decodes share scratch. A later batch must leave
+// an earlier batch's Levels unchanged, so no decision aliases pooled memory.
 func TestConcurrentDecodesMatchSerial(t *testing.T) {
 	d, traces := registerFixture(t)
 	want := make([]Decision, len(traces))
@@ -297,6 +345,34 @@ func TestConcurrentDecodesMatchSerial(t *testing.T) {
 			batches[b] = got
 		}()
 	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		got, err := d.DisassembleScoredCtx(context.Background(), traces[:3])
+		if err != nil || len(got) != 3 {
+			t.Errorf("small batch: %d decisions, error %v", len(got), err)
+			return
+		}
+		for i := range got {
+			if !sameDecision(got[i], want[i]) {
+				t.Errorf("small batch trace %d: %+v, serial %+v", i, got[i], want[i])
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		long := cycleTraces(traces, 64)
+		got, err := d.DisassembleCtx(context.Background(), long)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := range got {
+			if got[i] != want[i%len(want)].Decoded {
+				t.Errorf("plain batch trace %d: %+v, serial %+v", i, got[i], want[i%len(want)].Decoded)
+			}
+		}
+	}()
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {

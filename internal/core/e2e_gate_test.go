@@ -90,26 +90,19 @@ func confusionSummary(conf map[string][][]int) string {
 }
 
 // disassembleBothPaths decodes the stream through the sparse per-cell
-// inference path AND a second time through the same hierarchy walk with the
-// full-CWT Pipeline.Extract as the per-level extractor — the oracle — and
-// requires instruction-identical listings: the sparse path is a performance
-// rewrite, not a model change, so any label divergence on the gate campaign
-// is a bug. Returns the (shared) decoding.
+// inference path AND a second time level by level with the full-CWT
+// Pipeline.Extract as the per-level extractor — the oracle — and requires
+// instruction-identical listings: the sparse path is a performance rewrite,
+// not a model change, so any label divergence on the gate campaign is a bug.
+// Returns the (shared) decoding.
 func disassembleBothPaths(t *testing.T, d *Disassembler, traces [][]float64) []Decoded {
 	t.Helper()
 	sparse, err := d.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.getScratch()
-	defer d.scratch.Put(s)
 	for i, tr := range traces {
-		full, err := d.walk(s.pred, func(pl *features.Pipeline) ([]float64, error) {
-			return pl.Extract(tr)
-		}, nil, s.levels[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := publicDecision(t, d, tr, (*features.Pipeline).Extract)
 		if sparse[i] != full.Decoded {
 			t.Fatalf("trace %d: sparse path decoded %+v, full-CWT oracle decoded %+v", i, sparse[i], full.Decoded)
 		}

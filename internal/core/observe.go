@@ -95,10 +95,9 @@ func (d *Disassembler) feedObserver(dec Decision, driftVec []float64) {
 	if driftVec != nil {
 		o.Drift.Observe(driftVec)
 	}
-	if o.Log == nil {
-		return
-	}
-	if err := o.Log.Record(dec.Record()); err != nil {
+	// The log builds the record (its listing text and levels) only for the
+	// decisions it keeps, so a sparsely sampled log costs one count.
+	if err := o.Log.RecordWith(dec.Record); err != nil {
 		met().decisionLogErrs.Inc()
 	}
 }
@@ -135,7 +134,9 @@ func (d *Disassembler) ObserveTrace(trace []float64) error {
 func (d *Disassembler) ClassifyScored(trace []float64) (Decision, error) {
 	s := d.getScratch()
 	defer d.scratch.Put(s)
-	dec, err := d.decode(trace, s, nil, make([]obs.DecisionLevel, 0, maxLevels))
+	ls := [1]lane{newLane(trace, s, nil, make([]obs.DecisionLevel, maxLevels))}
+	d.decode(ls[:])
+	dec, err := ls[0].result()
 	if err != nil {
 		return Decision{}, err
 	}

@@ -33,7 +33,7 @@ var ErrTemplateFormat = errors.New("core: invalid template file")
 // snapshotLevel converts one trained level into its store form, including
 // the precomputed sparse kernel table.
 func snapshotLevel(lvl groupLevel) (store.LevelState, error) {
-	if lvl.pipe == nil || lvl.clf == nil {
+	if !lvl.trained() {
 		return store.LevelState{}, nil // untrained level
 	}
 	ps, err := lvl.pipe.State()

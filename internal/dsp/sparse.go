@@ -1,12 +1,10 @@
 package dsp
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Sparse CWT inference: instead of 50 full FFT convolutions per trace, a
@@ -46,10 +44,10 @@ func init() {
 	})
 }
 
-// SparseTransformCount returns the cumulative number of sparse evaluations
-// (Values/ValuesInto calls, and per-trace items of ValuesBatch) since process
-// start. Together with the dsp.cwt.transforms counter it lets tests assert
-// which transform a classification ran.
+// SparseTransformCount returns the cumulative number of traces the sparse
+// path evaluated since process start: one per Values/ValuesInto call, two
+// per ValuesInto2 call. Together with the dsp.cwt.transforms counter it lets
+// tests assert which transform a classification ran.
 func SparseTransformCount() uint64 { return uint64(sparseTransformCount.Value()) }
 
 // SparseCellCount returns the cumulative number of time–frequency cells
@@ -183,6 +181,43 @@ func (s *SparseCWT) ValuesInto(dst, x []float64) error {
 	return nil
 }
 
+// ValuesInto2 is ValuesInto for two traces at once: d0 receives the cells
+// of x0 and d1 those of x1. It makes one pass over each cell's kernel window
+// and multiplies every kernel sample into both traces' sums, so each load of
+// the kernel serves two dot products. Each trace keeps its re/im sums in
+// exactly ValuesInto's order, so every value is bitwise equal to two
+// ValuesInto calls; the counters advance by two evaluations as well.
+func (s *SparseCWT) ValuesInto2(d0, d1, x0, x1 []float64) error {
+	if len(x0) != s.n || len(x1) != s.n {
+		return fmt.Errorf("dsp: sparse trace lengths %d and %d, want %d", len(x0), len(x1), s.n)
+	}
+	if len(d0) != len(s.cells) || len(d1) != len(s.cells) {
+		return fmt.Errorf("dsp: sparse output lengths %d and %d, want %d", len(d0), len(d1), len(s.cells))
+	}
+	for i := range s.cells {
+		off, end := s.off[i], s.off[i+1]
+		lo := s.lo[i]
+		kr := s.re[off:end]
+		ki := s.im[off:end][:len(kr)]
+		a := x0[lo:][:len(kr)]
+		b := x1[lo:][:len(kr)]
+		var re0, im0, re1, im1 float64
+		for m, r := range kr {
+			j := ki[m]
+			u, v := a[m], b[m]
+			re0 += u * r
+			im0 += u * j
+			re1 += v * r
+			im1 += v * j
+		}
+		d0[i] = math.Hypot(re0, im0)
+		d1[i] = math.Hypot(re1, im1)
+	}
+	sparseTransformCount.Add(2)
+	sparseCellCount.Add(2 * int64(len(s.cells)))
+	return nil
+}
+
 // Values is ValuesInto with a freshly allocated output.
 func (s *SparseCWT) Values(x []float64) ([]float64, error) {
 	dst := make([]float64, len(s.cells))
@@ -190,27 +225,4 @@ func (s *SparseCWT) Values(x []float64) ([]float64, error) {
 		return nil, err
 	}
 	return dst, nil
-}
-
-// ValuesBatch evaluates the cell set for every trace, parallelized over
-// traces on the parallel.Workers() pool. The result is index-aligned with xs
-// and identical to calling Values per trace.
-func (s *SparseCWT) ValuesBatch(xs [][]float64) ([][]float64, error) {
-	return s.ValuesBatchCtx(context.Background(), xs)
-}
-
-// ValuesBatchCtx is ValuesBatch with cooperative cancellation.
-func (s *SparseCWT) ValuesBatchCtx(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(xs))
-	if err := parallel.ForErrCtx(ctx, len(xs), func(i int) error {
-		v, err := s.Values(xs[i])
-		if err != nil {
-			return fmt.Errorf("dsp: batch trace %d: %w", i, err)
-		}
-		out[i] = v
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -2,9 +2,9 @@ package dsp
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/testkit"
 )
 
@@ -87,37 +87,44 @@ func TestSparseProductionBankMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSparseBatchMatchesSerial asserts the batch path is bitwise identical to
-// per-trace Values regardless of worker count.
+// TestSparseBatchMatchesSerial asserts the two-trace pass is bitwise
+// identical to two single-trace evaluations: for random banks, trace pairs
+// and cell sets (always including the plane corners, where the kernel
+// window clips against the trace edges), ValuesInto2 must write into each
+// output exactly what ValuesInto writes for its trace.
 func TestSparseBatchMatchesSerial(t *testing.T) {
-	oldWorkers := parallel.Workers()
-	defer parallel.SetWorkers(oldWorkers)
-
-	c, err := NewCWT(8, 2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testkit.NewG(29)
-	xs := g.Traces(7, 96)
-	cells := randomCells(g, 8, 96, 12)
-	s, err := c.Sparse(96, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := make([][]float64, len(xs))
-	for i, x := range xs {
-		if serial[i], err = s.Values(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		parallel.SetWorkers(workers)
-		got, err := s.ValuesBatch(xs)
+	testkit.Check(t, testkit.CheckConfig{Runs: 16}, func(g *testkit.G) error {
+		n := g.IntBetween(16, 320)
+		nScales := g.IntBetween(2, 50)
+		c, err := NewCWT(nScales, 2, g.Float64(8, 80))
 		if err != nil {
-			t.Fatalf("ValuesBatch with %d workers: %v", workers, err)
+			return err
 		}
-		testkit.ExactEqual2D(t, got, serial, fmt.Sprintf("sparse batch with %d workers vs serial", workers))
-	}
+		cells := randomCells(g, nScales, n, g.IntBetween(4, 300))
+		s, err := c.Sparse(n, cells)
+		if err != nil {
+			return err
+		}
+		x0, x1 := g.Trace(n), g.Trace(n)
+		want0, want1 := make([]float64, len(cells)), make([]float64, len(cells))
+		if err := s.ValuesInto(want0, x0); err != nil {
+			return err
+		}
+		if err := s.ValuesInto(want1, x1); err != nil {
+			return err
+		}
+		got0, got1 := make([]float64, len(cells)), make([]float64, len(cells))
+		if err := s.ValuesInto2(got0, got1, x0, x1); err != nil {
+			return err
+		}
+		for i, cl := range cells {
+			if math.Float64bits(got0[i]) != math.Float64bits(want0[i]) || math.Float64bits(got1[i]) != math.Float64bits(want1[i]) {
+				return fmt.Errorf("cell %d (scale %d, time %d): pair (%v, %v), single (%v, %v)",
+					i, cl.Scale, cl.Time, got0[i], got1[i], want0[i], want1[i])
+			}
+		}
+		return nil
+	})
 }
 
 // TestSparseValidation covers the constructor and evaluation error paths.
@@ -144,6 +151,20 @@ func TestSparseValidation(t *testing.T) {
 	}
 	if err := s.ValuesInto(make([]float64, 2), make([]float64, 32)); err == nil {
 		t.Fatal("ValuesInto accepted a wrong-length output")
+	}
+	one, x := make([]float64, 1), make([]float64, 32)
+	for _, bad := range []struct {
+		name           string
+		d0, d1, x0, x1 []float64
+	}{
+		{"first trace", one, one, make([]float64, 31), x},
+		{"second trace", one, one, x, make([]float64, 33)},
+		{"first output", make([]float64, 2), one, x, x},
+		{"second output", one, nil, x, x},
+	} {
+		if err := s.ValuesInto2(bad.d0, bad.d1, bad.x0, bad.x1); err == nil {
+			t.Fatalf("ValuesInto2 accepted a wrong-length %s", bad.name)
+		}
 	}
 }
 
@@ -174,6 +195,21 @@ func TestSparseCountersNotFullCounter(t *testing.T) {
 	}
 	if got := SparseCellCount() - cells0; got != uint64(len(cells)) {
 		t.Fatalf("sparse cell counter delta = %d, want %d", got, len(cells))
+	}
+
+	// A two-trace pass counts as two evaluations of every cell.
+	full0, sp0, cells0 = transformCount.Value(), SparseTransformCount(), SparseCellCount()
+	if err := s.ValuesInto2(make([]float64, len(cells)), make([]float64, len(cells)), x, g.Trace(64)); err != nil {
+		t.Fatal(err)
+	}
+	if got := transformCount.Value() - full0; got != 0 {
+		t.Fatalf("two-trace sparse evaluation bumped the full-transform counter by %d", got)
+	}
+	if got := SparseTransformCount() - sp0; got != 2 {
+		t.Fatalf("two-trace sparse transform counter delta = %d, want 2", got)
+	}
+	if got := SparseCellCount() - cells0; got != 2*uint64(len(cells)) {
+		t.Fatalf("two-trace sparse cell counter delta = %d, want %d", got, 2*len(cells))
 	}
 }
 

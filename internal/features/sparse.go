@@ -66,6 +66,29 @@ func (pl *Pipeline) ExtractSparseInto(out, cells, x []float64) error {
 	return pl.finishInto(out, cells)
 }
 
+// ExtractSparseInto2 is ExtractSparseInto for two traces at once: x0's
+// classifier input lands in out0 through cells0, x1's in out1 through
+// cells1. Both traces' cells are evaluated in one pass over the kernel
+// windows (dsp.SparseCWT.ValuesInto2), and every output is bitwise equal to
+// two ExtractSparseInto calls. Its errors depend only on buffer shapes, so
+// they are the errors either single call would return.
+func (pl *Pipeline) ExtractSparseInto2(out0, out1, cells0, cells1, x0, x1 []float64) error {
+	sp, err := pl.sparseEval()
+	if err != nil {
+		return err
+	}
+	if len(x0) != pl.sel.TraceLen || len(x1) != pl.sel.TraceLen {
+		return fmt.Errorf("features: trace lengths %d and %d, want %d", len(x0), len(x1), pl.sel.TraceLen)
+	}
+	if err := sp.ValuesInto2(cells0, cells1, x0, x1); err != nil {
+		return err
+	}
+	if err := pl.finishInto(out0, cells0); err != nil {
+		return err
+	}
+	return pl.finishInto(out1, cells1)
+}
+
 // SparseCells returns the number of time–frequency cells the sparse path
 // evaluates per trace (the size of the unified DNVP set).
 func (pl *Pipeline) SparseCells() (int, error) {

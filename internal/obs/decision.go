@@ -79,18 +79,29 @@ func OpenDecisionLog(path string, sample int) (*DecisionLog, error) {
 // writes it as one JSON line. The record's Seq is set to its 1-based index
 // among all decisions seen. No-op on a nil receiver.
 func (l *DecisionLog) Record(rec DecisionRecord) error {
+	return l.RecordWith(func() DecisionRecord { return rec })
+}
+
+// RecordWith is Record for a record that is built only when the log keeps
+// it: the decision is counted, and build runs and its record is encoded,
+// only when the decision falls on the sampling stride. A sampled-out
+// decision costs one count. build runs under the log's lock, so lines stay
+// in Seq order across concurrent writers; it must not call into the log.
+// No-op on a nil receiver.
+func (l *DecisionLog) RecordWith(build func() DecisionRecord) error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seen++
-	rec.Seq = l.seen
 	obsMet().decisionsSeen.Inc()
 	if (l.seen-1)%l.sample != 0 {
 		return nil
 	}
 	obsMet().decisionsLogged.Inc()
+	rec := build()
+	rec.Seq = l.seen
 	return l.enc.Encode(&rec)
 }
 

@@ -83,8 +83,8 @@ func storeBenchDir(b *testing.B) string {
 
 // BenchmarkRegistryColdStartV4 measures one full cold start per iteration:
 // scan the directory, Get every template to serving-ready (header only),
-// then Close (dropping the handles so iterations do not accumulate
-// mappings across b.N).
+// then Close (dropping the handles so iterations do not accumulate open
+// descriptors across b.N).
 func BenchmarkRegistryColdStartV4(b *testing.B) {
 	dir := storeBenchDir(b)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))

@@ -108,7 +108,7 @@ func (d *Disassembler) SaveStore(w io.Writer, opts store.Options) error {
 }
 
 // SaveStoreFile is SaveStore to a path. The file is replaced atomically
-// (store.WriteFile), so a server that has the old file mapped keeps reading
+// (store.WriteFile), so a server that has the old file open keeps reading
 // it intact, and a failed save leaves neither a partial file nor a changed
 // target.
 func (d *Disassembler) SaveStoreFile(path string, opts store.Options) error {
@@ -278,9 +278,11 @@ func (t *Template) Disassembler() (*Disassembler, error) {
 }
 
 // Close releases the underlying store file. It waits for a materialization
-// in progress, which may be reading the mapping. A materialized Disassembler
-// stays valid — its state lives on the heap — but an unmaterialized handle
-// can no longer materialize.
+// in progress: closing the file under it would fail its reads with
+// os.ErrClosed, and the handle would remember that as ErrTemplateFormat, so
+// a request racing a reload would get an error instead of its decode. A
+// materialized Disassembler stays valid — its state lives on the heap — but
+// an unmaterialized handle can no longer materialize.
 func (t *Template) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

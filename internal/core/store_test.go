@@ -271,12 +271,12 @@ func TestTemplateCloseBeforeMaterialize(t *testing.T) {
 }
 
 // TestTemplateCloseWaitsForMaterialize pins that Close is serialized with
-// materialization, which reads the mapped file: unmapping mid-read is a
-// fault Go cannot recover from. Holding the handle's lock stands in for a
-// materialization in progress; Close must not return until it is released.
-// Then Close races real materializations (under -race an unserialized Close
-// is a data race on the mapping). Either order is legal — the handle
-// materializes fully and decodes, or it refuses because it was closed first.
+// materialization, which reads the open file: closing it mid-read would
+// fail the materialization with os.ErrClosed, and the handle would keep
+// that failure. Holding the handle's lock stands in for a materialization
+// in progress; Close must not return until it is released. Then Close races
+// real materializations. Either order is legal — the handle materializes
+// fully and decodes, or it refuses because it was closed first.
 func TestTemplateCloseWaitsForMaterialize(t *testing.T) {
 	d, traces := sharedFixture(t)
 	want, err := d.Disassemble(traces[:2])

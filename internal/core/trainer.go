@@ -330,11 +330,6 @@ func TrainSubsetCtx(ctx context.Context, cfg TrainerConfig, classes []avr.Class,
 	return d, err
 }
 
-// TrainSubsetReport is TrainSubset returning the training report as well.
-func TrainSubsetReport(cfg TrainerConfig, classes []avr.Class, withRegisters bool) (*Disassembler, *TrainReport, error) {
-	return TrainSubsetReportCtx(context.Background(), cfg, classes, withRegisters)
-}
-
 // TrainSubsetReportCtx is TrainSubsetCtx returning the same TrainReport
 // TrainCtx produces (accuracies, validation counts, per-level confusion,
 // stage timings), restricted to the levels the subset actually trains.

@@ -122,15 +122,6 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
-// FFTReal computes the DFT of a real signal.
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	return FFT(c)
-}
-
 // Convolve computes the full linear convolution of a and b
 // (length len(a)+len(b)-1) using the FFT.
 func Convolve(a, b []float64) []float64 {

@@ -166,9 +166,9 @@ func (s *SparseCWT) ValuesInto(dst, x []float64) error {
 	}
 	for i := range s.cells {
 		off, end := s.off[i], s.off[i+1]
-		xr := x[s.lo[i] : s.lo[i]+end-off]
 		kr := s.re[off:end]
-		ki := s.im[off:end]
+		ki := s.im[off:end][:len(kr)]
+		xr := x[s.lo[i]:][:len(kr)]
 		var re, im float64
 		for m, v := range xr {
 			re += v * kr[m]

@@ -97,11 +97,6 @@ func (s *Selector) numPoints() int { return s.CWT.NumScales() * s.TraceLen }
 // flatIndex converts a point to its flat index.
 func (s *Selector) flatIndex(p Point) int { return p.Scale*s.TraceLen + p.Time }
 
-// PointOf converts a flat index back to a (scale, time) point.
-func (s *Selector) PointOf(i int) Point {
-	return Point{Scale: i / s.TraceLen, Time: i % s.TraceLen}
-}
-
 // AccumulateStats computes the per-point Gaussian statistics of a set of
 // traces. The scalograms are computed in parallel (batch CWT) and
 // accumulated serially in trace order, so the result does not depend on the

@@ -382,9 +382,3 @@ func GridSearchSVMCtx(ctx context.Context, X [][]float64, y []int, cs, gammas []
 	}
 	return final, best, nil
 }
-
-// DefaultSVMGrid returns the C and γ candidates used by the experiment
-// harness.
-func DefaultSVMGrid() (cs, gammas []float64) {
-	return []float64{0.1, 1, 10, 100}, []float64{0.01, 0.1, 1}
-}

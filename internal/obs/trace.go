@@ -188,16 +188,6 @@ func exportSpanID(trace TraceID, id int64) SpanID {
 	return out
 }
 
-// RootSpanID returns the export-time span ID the tracer's span n would get —
-// the middleware uses it to echo the root span in the response traceparent
-// before the request body is written. Span ids start at 1.
-func (t *Tracer) RootSpanID(id int64) SpanID {
-	if t == nil {
-		return SpanID{}
-	}
-	return exportSpanID(t.traceID, id)
-}
-
 // ExportID returns the span's export-time span ID. Zero for nil spans.
 func (s *SpanHandle) ExportID() SpanID {
 	if s == nil || s.tracer == nil {

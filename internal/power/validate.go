@@ -198,7 +198,3 @@ func (d *Dataset) Sanitize(wantLen int) (*Dataset, ValidationReport) {
 	}
 	return clean, rep
 }
-
-// AnyNonFinite reports whether any value in xs is NaN or ±Inf; it is the
-// assertion helper tests use against trained pipeline/classifier state.
-func AnyNonFinite(xs []float64) bool { return !stats.AllFinite(xs) }

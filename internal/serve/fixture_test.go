@@ -108,10 +108,9 @@ func legacyGobTemplate(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// planeNormalizedTemplate rewrites the fixture template with the retired
-// scalogram-plane NormMode on every per-trace-normalized level — the shape
-// an old CSA template converted to v4 has.
-func planeNormalizedTemplate(t *testing.T) []byte {
+// reencodedTemplate materializes the fixture template, applies mutate
+// (when non-nil) and writes the state back with opts.
+func reencodedTemplate(t *testing.T, opts store.Options, mutate func(*store.TemplateState)) []byte {
 	t.Helper()
 	fixture(t)
 	f, err := store.OpenReaderAt(bytes.NewReader(fx.tpl), int64(len(fx.tpl)))
@@ -123,20 +122,32 @@ func planeNormalizedTemplate(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels := []*store.LevelState{&st.Group, &st.Rd, &st.Rr}
-	for i := range st.Instr {
-		levels = append(levels, &st.Instr[i])
-	}
-	for _, ls := range levels {
-		if ls.Present && ls.Pipe.Cfg.PerTraceNorm {
-			ls.Pipe.Cfg.NormMode = 0
-		}
+	if mutate != nil {
+		mutate(st)
 	}
 	var buf bytes.Buffer
-	if err := store.Write(&buf, st, store.Options{}); err != nil {
+	if err := store.Write(&buf, st, opts); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// planeNormalizedTemplate rewrites the fixture template with the retired
+// scalogram-plane NormMode on every per-trace-normalized level — the shape
+// an old CSA template converted to v4 has.
+func planeNormalizedTemplate(t *testing.T) []byte {
+	t.Helper()
+	return reencodedTemplate(t, store.Options{}, func(st *store.TemplateState) {
+		levels := []*store.LevelState{&st.Group, &st.Rd, &st.Rr}
+		for i := range st.Instr {
+			levels = append(levels, &st.Instr[i])
+		}
+		for _, ls := range levels {
+			if ls.Present && ls.Pipe.Cfg.PerTraceNorm {
+				ls.Pipe.Cfg.NormMode = 0
+			}
+		}
+	})
 }
 
 // newTestRegistry builds a registry over a fresh temp dir holding the

@@ -79,7 +79,7 @@ func (st *loaded) disassembler() (*core.Disassembler, error) {
 	return st.reg.materialize(st)
 }
 
-// close releases the template's mapping or descriptor, waiting for a
+// close releases the template's file descriptor, waiting for a
 // materialization in progress to finish reading it. A Disassembler already
 // materialized stays valid (its state lives on the heap); an unmaterialized
 // handle can no longer materialize — an in-flight request racing a reload
@@ -218,7 +218,7 @@ func (r *Registry) Get(name string) (*loaded, error) {
 	defer e.mu.Unlock()
 	if e.stale.Swap(false) {
 		if e.state != nil {
-			e.state.close() // release the old mmap/fd; live Disassemblers are unaffected
+			e.state.close() // release the old descriptor; live Disassemblers are unaffected
 		}
 		e.state, e.loadErr = nil, nil
 	}
@@ -326,7 +326,7 @@ func (r *Registry) PublishMetrics() {
 	}
 }
 
-// Close drops every cached template handle, releasing mappings and
+// Close drops every cached template handle, releasing their file
 // descriptors. Disassemblers already handed to in-flight requests stay
 // valid — their state lives on the heap. The registry remains usable: a
 // later Get re-opens the file, so Close is safe at daemon shutdown and

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // TestRegistryLazyLoadAndStatuses pins the lazy-loading contract: scanning
@@ -233,10 +236,10 @@ func TestRegistryRefusesLegacyTemplates(t *testing.T) {
 }
 
 // TestRegistryTruncatedTemplateFailsClosed truncates a template on disk
-// after the registry opened (and mapped) it but before its first decode, as
-// an operator's in-place cp does. Materializing it faults on the mapping;
-// the fault must fail that template with 503 while the others keep serving
-// their exact labels.
+// after the registry opened it but before its first decode, as an
+// operator's in-place cp does. Materializing it comes up short reading the
+// open file; that must fail the template with 503 while the others keep
+// serving their exact labels.
 func TestRegistryTruncatedTemplateFailsClosed(t *testing.T) {
 	s, url := newTestServer(t, RegistryConfig{}, Config{})
 	dir := s.reg.dir
@@ -266,4 +269,61 @@ func TestRegistryTruncatedTemplateFailsClosed(t *testing.T) {
 			t.Fatalf("demo decode %d = %q next to a truncated template, want %q", i, texts[i], fx.want[i])
 		}
 	}
+}
+
+// TestRegistryRewrittenTemplateFailsClosed overwrites a template in place —
+// same path, same inode, as cp does — after a header-only Get, with the
+// quantized encoding of the same state. The open handle still reads at the
+// old directory's offsets, so the template must answer 503 (a CRC mismatch
+// or a short read) while the others keep serving their exact labels. Once a
+// reload sees the changed size, the template serves what the new bytes
+// decode to.
+func TestRegistryRewrittenTemplateFailsClosed(t *testing.T) {
+	s, url := newTestServer(t, RegistryConfig{}, Config{})
+	victim := writeTemplate(t, s.reg.dir, "victim", fx.tpl)
+	if err := s.reg.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.reg.Get("victim"); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := reencodedTemplate(t, store.Options{Quantize: true}, nil)
+	if err := os.WriteFile(victim, rewritten, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	serves := func(name string, want []string) {
+		t.Helper()
+		resp, data := postJSON(t, url+"/v1/disassemble/"+name, jsonBody(fx.traces))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("template %q answered %d: %s", name, resp.StatusCode, data)
+		}
+		texts, _ := decodeTexts(t, data)
+		if !slices.Equal(texts, want) {
+			t.Fatalf("template %q decodes %q, want %q", name, texts, want)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		resp, data := postJSON(t, url+"/v1/disassemble/victim", jsonBody(fx.traces))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("template rewritten in place answered %d, want 503: %s", resp.StatusCode, data)
+		}
+	}
+	serves("demo", fx.want)
+
+	d, err := core.Load(bytes.NewReader(rewritten))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decs, err := d.Disassemble(fx.traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(decs))
+	for i, dec := range decs {
+		want[i] = dec.String()
+	}
+	if err := s.reg.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	serves("victim", want)
 }

@@ -8,7 +8,8 @@ import "repro/internal/obs"
 //
 //	store.opens            files opened (header decoded and validated)
 //	store.sections.loaded  payload sections decoded (lazy faults)
-//	store.sections.errors  payload sections rejected (CRC mismatch)
+//	store.sections.errors  payload sections rejected: a CRC mismatch, or a
+//	                       short read (the file shrank on disk after Open)
 //	store.bytes.resident   decoded float64 bytes currently held by open files
 var met = struct {
 	opens          *obs.Counter

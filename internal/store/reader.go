@@ -9,60 +9,73 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"runtime/debug"
+	"os"
 	"strings"
 	"sync/atomic"
 
 	"repro/internal/avr"
 )
 
+// chunkLen is the read buffer a matrix section streams through on its way
+// to float64s, so a load costs the decoded values plus one fixed buffer,
+// never a staging copy of the section. It is a multiple of every value
+// size: no value straddles two chunks.
+const chunkLen = 64 << 10
+
 // File is an opened v4 template: header decoded and validated eagerly,
-// payload sections untouched until LoadSection/Template ask for them.
-// Concurrent LoadSection calls are safe; Close must not race Template (the
-// core.Template handle serializes them).
+// payload sections read through r only when LoadSection/Template ask for
+// them. Concurrent loads are safe, and so is Close during one: on a file
+// Open opened, the load's reads then fail with os.ErrClosed. core.Template
+// serializes the two all the same, so that a request racing a reload is
+// not failed by it.
 type File struct {
-	src        sectionSource
-	size       int64
+	r          io.ReaderAt
+	closer     io.Closer // the file Open opened; nil for OpenReaderAt
 	quantized  bool
 	payloadOff int64
 	payloadLen int64
 	hdr        fileHeader
-	hdrBytes   []byte // private copy; Template re-decodes fresh state from it
+	hdrBytes   []byte // Template re-decodes fresh state from it
 	byName     map[string]int
 
 	resident atomic.Int64 // decoded float64 bytes attributed to this file
 	closed   atomic.Bool
 }
 
-// Open maps (or opens) a v4 template file and eagerly decodes its header.
-// Defective files — wrong magic, unknown version, truncated regions, a
-// directory that cannot be valid — yield an error wrapping ErrFormat and
-// never a panic, for arbitrary input bytes (FuzzStoreOpen pins this).
+// Open opens a v4 template file and eagerly decodes its header; sections
+// are read from the open descriptor until Close. Defective files — wrong
+// magic, unknown version, truncated regions, a directory that cannot be
+// valid — yield an error wrapping ErrFormat and never a panic, for
+// arbitrary input bytes (FuzzStoreOpen pins this on OpenReaderAt, which
+// runs the same code).
 func Open(path string) (*File, error) {
-	src, size, err := openFileSource(path)
+	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	f, err := fromSource(src, size)
+	info, err := fh.Stat()
 	if err != nil {
-		src.close()
+		fh.Close()
 		return nil, err
 	}
+	f, err := OpenReaderAt(fh, info.Size())
+	if err != nil {
+		fh.Close()
+		return nil, err
+	}
+	f.closer = fh
 	return f, nil
 }
 
-// OpenReaderAt opens a template from any io.ReaderAt — the in-memory path
-// used by fuzzing and tests. The caller keeps ownership of r's lifetime.
+// OpenReaderAt opens a template of size bytes from any io.ReaderAt. Open
+// runs it on the file it opens; fuzzing and tests run it on memory. The
+// caller keeps ownership of r's lifetime.
 func OpenReaderAt(r io.ReaderAt, size int64) (*File, error) {
-	return fromSource(&readerAtSource{r: r}, size)
-}
-
-func fromSource(src sectionSource, size int64) (*File, error) {
 	if size < preludeLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the fixed prelude", ErrFormat, size)
 	}
-	pre, err := src.bytes(0, preludeLen)
-	if err != nil {
+	pre := make([]byte, preludeLen)
+	if err := readFull(r, pre, 0); err != nil {
 		return nil, err
 	}
 	if string(pre[0:4]) != Magic {
@@ -79,16 +92,13 @@ func fromSource(src sectionSource, size int64) (*File, error) {
 	if hlen == 0 || hlen > size-preludeLen {
 		return nil, fmt.Errorf("%w: header of %d bytes does not fit the %d-byte file", ErrFormat, hlen, size)
 	}
-	hraw, err := src.bytes(preludeLen, hlen)
-	if err != nil {
+	hdrBytes := make([]byte, hlen)
+	if err := readFull(r, hdrBytes, preludeLen); err != nil {
 		return nil, err
 	}
-	if got, want := crc32.Checksum(hraw, castagnoli), binary.LittleEndian.Uint32(pre[16:20]); got != want {
+	if got, want := crc32.Checksum(hdrBytes, castagnoli), binary.LittleEndian.Uint32(pre[16:20]); got != want {
 		return nil, fmt.Errorf("%w: header CRC mismatch (corrupted header)", ErrFormat)
 	}
-	// Copy out of the (possibly mmap'd) region: the header copy must stay
-	// valid for Template() re-decodes regardless of the mapping's fate.
-	hdrBytes := append([]byte(nil), hraw...)
 	var hdr fileHeader
 	if err := gob.NewDecoder(bytes.NewReader(hdrBytes)).Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("%w: decoding header gob: %v", ErrFormat, err)
@@ -100,8 +110,7 @@ func fromSource(src sectionSource, size int64) (*File, error) {
 		return nil, fmt.Errorf("%w: header carries no template state", ErrFormat)
 	}
 	f := &File{
-		src:        src,
-		size:       size,
+		r:          r,
 		quantized:  flags&flagQuantized != 0,
 		payloadOff: preludeLen + hlen,
 		payloadLen: size - preludeLen - hlen,
@@ -192,44 +201,49 @@ func (f *File) HeaderState() *TemplateState { return f.hdr.State }
 // this file's materialized sections.
 func (f *File) ResidentBytes() int64 { return f.resident.Load() }
 
-// readSection reads and CRC-checks one section and hands its on-disk bytes
-// to use, which decodes or copies them: the bytes may alias the mapping and
-// are valid only during the call. The reads run with memory faults turned
-// into panics (debug.SetPanicOnFault), and a fault is recovered into a
-// SectionError wrapping ErrFormat. A file truncated on disk under its
-// mapping raises SIGBUS on the pages past its new end; unrecovered, that
-// kills the process instead of failing the one template closed.
-func (f *File) readSection(name string, use func(info SectionInfo, raw []byte) error) (err error) {
+// readFull fills b from offset off of r. A short read means the file ended
+// before the size it had at Open — it shrank, or was rewritten shorter, on
+// disk since — and is reported as ErrFormat. A read that fills b and also
+// returns io.EOF (the last bytes of the file) is a success. Any other read
+// error is passed up unwrapped: it is not the file's format at fault.
+func readFull(r io.ReaderAt, b []byte, off int64) error {
+	n, err := r.ReadAt(b, off)
+	switch {
+	case n == len(b):
+		return nil
+	case err == nil || errors.Is(err, io.EOF):
+		return fmt.Errorf("%w: file truncated: read %d of %d bytes at offset %d (changed on disk after Open?)", ErrFormat, n, len(b), off)
+	}
+	return fmt.Errorf("store: reading %d bytes at %d: %w", len(b), off, err)
+}
+
+// section resolves a directory entry for a load on an open file.
+func (f *File) section(name string) (SectionInfo, error) {
 	if f.closed.Load() {
-		return fmt.Errorf("store: file is closed")
+		return SectionInfo{}, fmt.Errorf("store: file is closed")
 	}
 	i, ok := f.byName[name]
 	if !ok {
-		return &SectionError{Section: name, Err: fmt.Errorf("%w: no such section", ErrFormat)}
+		return SectionInfo{}, &SectionError{Section: name, Err: fmt.Errorf("%w: no such section", ErrFormat)}
 	}
-	info := f.hdr.Sections[i]
-	raw, err := f.src.bytes(f.payloadOff+info.Offset, info.byteLen())
-	if err != nil {
-		return &SectionError{Section: name, Err: err}
-	}
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		fault, ok := r.(interface{ Addr() uintptr })
-		if !ok {
-			panic(r)
-		}
+	return f.hdr.Sections[i], nil
+}
+
+// sectionFault pins a read or check failure to its section. Failures of
+// the file itself (a short read, a CRC mismatch) count in
+// store.sections.errors.
+func sectionFault(name string, err error) error {
+	if errors.Is(err, ErrFormat) {
 		met.sectionErrors.Inc()
-		err = &SectionError{Section: name, Err: fmt.Errorf("%w: memory fault at %#x reading the mapped file (truncated on disk?)", ErrFormat, fault.Addr())}
-	}()
-	if got := crc32.Checksum(raw, castagnoli); got != info.CRC {
-		met.sectionErrors.Inc()
-		return &SectionError{Section: name, Err: fmt.Errorf("%w: CRC mismatch (corrupted section)", ErrFormat)}
 	}
-	return use(info, raw)
+	return &SectionError{Section: name, Err: err}
+}
+
+func checkCRC(info SectionInfo, crc uint32) error {
+	if crc != info.CRC {
+		return sectionFault(info.Name, fmt.Errorf("%w: CRC mismatch (corrupted section, or the file changed on disk after Open)", ErrFormat))
+	}
+	return nil
 }
 
 // LoadSection reads, CRC-checks and decodes one matrix section. Corruption
@@ -237,14 +251,34 @@ func (f *File) readSection(name string, use func(info SectionInfo, raw []byte) e
 // other sections of the same file remain loadable. Aux sections hold gob
 // blobs, not floats — load those with LoadSectionBytes.
 func (f *File) LoadSection(name string) ([]float64, error) {
-	var data []float64
-	if err := f.readSection(name, func(info SectionInfo, raw []byte) error {
-		if info.Encoding == EncRaw {
-			return &SectionError{Section: name, Err: errors.New("store: raw section holds no float payload (use LoadSectionBytes)")}
+	info, err := f.section(name)
+	if err != nil {
+		return nil, err
+	}
+	return f.loadFloats(info, make([]byte, min(chunkLen, info.byteLen())))
+}
+
+// loadFloats streams one matrix section through buf, whose length is a
+// multiple of the section's value size: each chunk is read, folded into the
+// CRC and decoded into the section's values, and the CRC is checked after
+// the last chunk.
+func (f *File) loadFloats(info SectionInfo, buf []byte) ([]float64, error) {
+	if info.Encoding == EncRaw {
+		return nil, &SectionError{Section: info.Name, Err: errors.New("store: raw section holds no float payload (use LoadSectionBytes)")}
+	}
+	data := make([]float64, info.elems())
+	off, end := f.payloadOff+info.Offset, f.payloadOff+info.Offset+info.byteLen()
+	var crc uint32
+	for done := 0; off < end; {
+		b := buf[:min(int64(len(buf)), end-off)]
+		if err := readFull(f.r, b, off); err != nil {
+			return nil, sectionFault(info.Name, err)
 		}
-		data = decodeFloats(raw, info.Encoding)
-		return nil
-	}); err != nil {
+		crc = crc32.Update(crc, castagnoli, b)
+		done += decodeFloats(data[done:], b, info.Encoding)
+		off += int64(len(b))
+	}
+	if err := checkCRC(info, crc); err != nil {
 		return nil, err
 	}
 	met.sectionsLoaded.Inc()
@@ -253,15 +287,19 @@ func (f *File) LoadSection(name string) ([]float64, error) {
 	return data, nil
 }
 
-// LoadSectionBytes reads and CRC-checks one section, returning a copy of
-// its raw on-disk bytes — the gob blob for aux sections, the encoded float
-// stream for matrix sections.
+// LoadSectionBytes reads and CRC-checks one section, returning its raw
+// on-disk bytes — the gob blob for aux sections, the encoded float stream
+// for matrix sections.
 func (f *File) LoadSectionBytes(name string) ([]byte, error) {
-	var out []byte
-	if err := f.readSection(name, func(_ SectionInfo, raw []byte) error {
-		out = append([]byte(nil), raw...)
-		return nil
-	}); err != nil {
+	info, err := f.section(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, info.byteLen())
+	if err := readFull(f.r, out, f.payloadOff+info.Offset); err != nil {
+		return nil, sectionFault(name, err)
+	}
+	if err := checkCRC(info, crc32.Checksum(out, castagnoli)); err != nil {
 		return nil, err
 	}
 	met.sectionsLoaded.Inc()
@@ -270,21 +308,21 @@ func (f *File) LoadSectionBytes(name string) ([]byte, error) {
 	return out, nil
 }
 
-// decodeFloats unpacks a validated payload; len(b) is a multiple of the
-// value size by construction (byteLen bounded the read).
-func decodeFloats(b []byte, enc Encoding) []float64 {
+// decodeFloats unpacks the values in b into dst and returns how many it
+// wrote; len(b) is a multiple of the value size by construction.
+func decodeFloats(dst []float64, b []byte, enc Encoding) int {
 	if enc == EncFloat32 {
-		out := make([]float64, len(b)/4)
-		for i := range out {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
+		n := len(b) / 4
+		for i := range dst[:n] {
+			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 		}
-		return out
+		return n
 	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	n := len(b) / 8
+	for i := range dst[:n] {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out
+	return n
 }
 
 // Template materializes the full template state: a fresh decode of the
@@ -323,11 +361,12 @@ func (f *File) Template() (*TemplateState, error) {
 			return nil, &SectionError{Section: info.Name, Err: fmt.Errorf("%w: %v", ErrFormat, err)}
 		}
 	}
+	buf := make([]byte, chunkLen)
 	for _, info := range f.hdr.Sections {
 		if _, rest, _ := splitName(info.Name); rest == auxName {
 			continue
 		}
-		data, err := f.LoadSection(info.Name)
+		data, err := f.loadFloats(info, buf)
 		if err != nil {
 			return nil, err
 		}
@@ -423,13 +462,17 @@ func checkLevelComplete(lvl *LevelState) error {
 	return nil
 }
 
-// Close releases the mapping or descriptor and retires the file's resident
-// bytes from the gauge. Materialized TemplateStates stay valid — their
-// section data was decoded into ordinary heap slices.
+// Close closes the file Open opened (a file from OpenReaderAt has none)
+// and retires the file's resident bytes from the gauge. Materialized
+// TemplateStates stay valid — their section data was decoded into ordinary
+// heap slices.
 func (f *File) Close() error {
 	if f.closed.Swap(true) {
 		return nil
 	}
 	met.bytesResident.Add(float64(-f.resident.Swap(0)))
-	return f.src.close()
+	if f.closer == nil {
+		return nil
+	}
+	return f.closer.Close()
 }

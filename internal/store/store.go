@@ -19,8 +19,8 @@
 // questions (trace length, sparse capability) and serve /v1/templates. The
 // big matrices (PCA bases, QDA Cholesky factors, SVM support vectors, kNN
 // training sets, sparse-CWT kernel tables) are section-addressed and
-// materialize lazily on the first decode, via mmap on linux with a portable
-// ReadAt fallback. The bulky non-matrix structure — selected points,
+// materialize lazily on the first decode, read through io.ReaderAt from the
+// descriptor Open keeps. The bulky non-matrix structure — selected points,
 // per-pair KL tables, z-score moments, kernel cell indices — rides in one
 // raw-encoded "<level>/aux" gob section per level (see levelAux): it is
 // reflection-heavy to decode, so keeping it out of the header is what makes

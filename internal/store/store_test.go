@@ -7,12 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dsp"
@@ -453,7 +454,7 @@ func TestWriterRejectsDefectiveStates(t *testing.T) {
 	}
 }
 
-// TestWriteFileReplacesAtomically pins the replace-while-mapped contract: a
+// TestWriteFileReplacesAtomically pins the replace-while-open contract: a
 // handle opened before WriteFile rewrites the same path (here with the
 // quantized, shorter encoding) still materializes the file it opened,
 // while a fresh Open sees the new one. A failed write leaves the target
@@ -565,16 +566,13 @@ func TestClosedFileRefusesLoads(t *testing.T) {
 	}
 }
 
-// TestTruncatedMappingFailsClosed pins what happens when a mapped template
+// TestTruncatedMappingFailsClosed pins what happens when an opened template
 // is truncated on disk (an in-place cp over a served file) before its
-// sections are read: touching a page past the new end raises SIGBUS, which
-// must surface as a SectionError wrapping ErrFormat, not kill the process.
-// The handle stays usable for shape questions, and a later read fails the
-// same way.
+// sections are read: the section reads come up short, which must surface as
+// a SectionError wrapping ErrFormat that names the truncation, not kill the
+// process or hand out a partial state. The handle stays usable for shape
+// questions, and a later read fails the same way.
 func TestTruncatedMappingFailsClosed(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("only the linux build maps template files")
-	}
 	path := filepath.Join(t.TempDir(), "demo.tpl")
 	if err := WriteFile(path, tinyState(), Options{}); err != nil {
 		t.Fatal(err)
@@ -587,20 +585,143 @@ func TestTruncatedMappingFailsClosed(t *testing.T) {
 	if err := os.Truncate(path, 0); err != nil {
 		t.Fatal(err)
 	}
+	before := met.sectionErrors.Value()
 	for i := 0; i < 2; i++ {
 		_, err := f.Template()
 		var se *SectionError
 		if !errors.As(err, &se) || !errors.Is(err, ErrFormat) {
-			t.Fatalf("materializing a truncated mapping: error %v, want a SectionError wrapping ErrFormat", err)
+			t.Fatalf("materializing a truncated file: error %v, want a SectionError wrapping ErrFormat", err)
 		}
-		if !strings.Contains(err.Error(), "memory fault") {
-			t.Fatalf("error %q does not report the fault", err)
+		if !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("error %q does not report the truncation", err)
 		}
 	}
 	if _, err := f.LoadSection("group/pca"); !errors.Is(err, ErrFormat) {
-		t.Fatalf("LoadSection on a truncated mapping: %v, want ErrFormat", err)
+		t.Fatalf("LoadSection on a truncated file: %v, want ErrFormat", err)
 	}
 	if f.HeaderState().Group.Pipe == nil {
-		t.Fatal("header state lost after a faulted read")
+		t.Fatal("header state lost after a failed read")
+	}
+	if got := met.sectionErrors.Value() - before; got != 3 {
+		t.Fatalf("store.sections.errors rose by %d over three short reads, want 3", got)
+	}
+}
+
+// TestRewrittenFileFailsClosed overwrites an opened template in place —
+// same path, same inode, as cp does — with the quantized encoding of the
+// same state. The handle still reads at the old directory's offsets, so
+// materializing must fail closed with a SectionError wrapping ErrFormat
+// (a CRC mismatch or a short read), never return state decoded from the
+// new bytes.
+func TestRewrittenFileFailsClosed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "demo.tpl")
+	if err := WriteFile(path, tinyState(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := os.WriteFile(path, writeBytes(t, tinyState(), Options{Quantize: true}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := met.sectionErrors.Value()
+	_, err = f.Template()
+	var se *SectionError
+	if !errors.As(err, &se) || !errors.Is(err, ErrFormat) {
+		t.Fatalf("materializing a file rewritten in place: error %v, want a SectionError wrapping ErrFormat", err)
+	}
+	if got := met.sectionErrors.Value() - before; got != 1 {
+		t.Fatalf("store.sections.errors rose by %d, want 1", got)
+	}
+}
+
+// TestLargeSectionsStreamConcurrently materializes a file whose kernel
+// sections span several read chunks and end mid-chunk, in both encodings,
+// from several goroutines at once on one opened file. Every load must
+// decode each value exactly (float64(float32(x)) when quantized), however
+// the chunk boundaries fall.
+func TestLargeSectionsStreamConcurrently(t *testing.T) {
+	for _, opts := range []Options{{}, {Quantize: true}} {
+		st := tinyState()
+		want := make([]float64, 3*chunkLen/4+5) // 6 chunks + 40 bytes as float64, 3 + 20 as float32
+		for i := range want {
+			want[i] = float64(i+1) / 3
+		}
+		st.Group.Sparse.Re = want
+		path := filepath.Join(t.TempDir(), "big.tpl")
+		if err := WriteFile(path, st, opts); err != nil {
+			t.Fatal(err)
+		}
+		f, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(got []float64) error {
+			if len(got) != len(want) {
+				return fmt.Errorf("quantize=%v: decoded %d values, want %d", opts.Quantize, len(got), len(want))
+			}
+			for i, v := range want {
+				if opts.Quantize {
+					v = float64(float32(v))
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(v) {
+					return fmt.Errorf("quantize=%v: value %d = %v, want bitwise %v", opts.Quantize, i, got[i], v)
+				}
+			}
+			return nil
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				mst, err := f.Template()
+				if err == nil {
+					err = check(mst.Group.Sparse.Re)
+				}
+				if err == nil {
+					var got []float64
+					if got, err = f.LoadSection("group/cwt.re"); err == nil {
+						err = check(got)
+					}
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// eofAtEnd is an io.ReaderAt that returns io.EOF together with a full read
+// reaching the end of its data, as the io.ReaderAt contract allows.
+type eofAtEnd struct{ *bytes.Reader }
+
+func (r eofAtEnd) ReadAt(p []byte, off int64) (int, error) {
+	n, err := r.Reader.ReadAt(p, off)
+	if err == nil && off+int64(n) == r.Size() {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// TestFullReadAtEOFSucceeds pins that a read which fills its buffer is a
+// success even when the reader reports io.EOF with it: the last section of
+// a file ends at the end of the input.
+func TestFullReadAtEOFSucceeds(t *testing.T) {
+	b := writeBytes(t, tinyState(), Options{})
+	f, err := OpenReaderAt(eofAtEnd{bytes.NewReader(b)}, int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Template(); err != nil {
+		t.Fatalf("materializing through a reader that reports EOF at the end: %v", err)
 	}
 }

@@ -214,10 +214,10 @@ func Write(w io.Writer, st *TemplateState, opts Options) error {
 // WriteFile writes st to path atomically. The bytes go to a temporary file
 // in the same directory — named so it never ends in a template extension, so
 // a registry scan cannot pick it up half-written — which is synced, closed
-// and renamed over path. A reader that mapped the previous file keeps its
-// intact inode: rewriting in place would change pages under the mapping
-// (CRC mismatches) or truncate them (SIGBUS). On any error the temporary
-// file is removed and path is left as it was.
+// and renamed over path. A reader that opened the previous file keeps
+// reading its intact inode, where rewriting in place would fail that
+// reader's unread sections (a CRC mismatch or a short read). On any error
+// the temporary file is removed and path is left as it was.
 func WriteFile(path string, st *TemplateState, opts Options) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/serve"
-	"repro/internal/store"
 )
 
 // storeBench lays out one directory of 16 copies of a serving-representative
@@ -68,7 +67,7 @@ func storeBenchDir(b *testing.B) string {
 		}
 		for i := 0; i < coldStartTemplates; i++ {
 			name := fmt.Sprintf("t%02d%s", i, serve.TemplateExt)
-			if err := d.SaveStoreFile(filepath.Join(dir, name), store.Options{}); err != nil {
+			if err := d.SaveStoreFile(filepath.Join(dir, name)); err != nil {
 				storeBench.err = err
 				return
 			}

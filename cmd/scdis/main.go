@@ -11,10 +11,6 @@
 //	scdis drift                      stream a control then a covariate-shifted
 //	                                 phase through the classifier and report
 //	                                 the drift monitor's verdict per phase
-//	scdis convert -in a.tpl -out b.tpl
-//	                                 re-encode a template file (-quantize
-//	                                 packs matrix sections as float32,
-//	                                 halving file and resident bytes)
 //
 // Flags for demo/detect/drift: -programs, -traces, -seed scale the simulated
 // profiling campaign; -workers N bounds the worker pool (0 = all CPUs).
@@ -48,7 +44,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/power"
-	"repro/internal/store"
 )
 
 func main() {
@@ -74,8 +69,6 @@ func main() {
 		err = runDetect(ctx, args)
 	case "drift":
 		err = runDrift(ctx, args)
-	case "convert":
-		err = runConvert(args)
 	case "trace":
 		err = runTrace(args)
 	default:
@@ -88,7 +81,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: scdis <groups|asm|decode|demo|detect|drift|convert|trace> [args]")
+	fmt.Fprintln(os.Stderr, "usage: scdis <groups|asm|decode|demo|detect|drift|trace> [args]")
 	os.Exit(2)
 }
 
@@ -219,7 +212,7 @@ func runDemo(ctx context.Context, args []string) error {
 			return err
 		}
 		if *saveTo != "" {
-			if err := d.SaveStoreFile(*saveTo, store.Options{}); err != nil {
+			if err := d.SaveStoreFile(*saveTo); err != nil {
 				return err
 			}
 			fmt.Printf("templates saved to %s\n", *saveTo)
@@ -453,46 +446,4 @@ func runDrift(ctx context.Context, args []string) error {
 	manifest.Config = cfg
 	manifest.Report = rep
 	return sess.Close(manifest, parallel.Workers())
-}
-
-// runConvert re-encodes a template file: its one remaining job is -quantize
-// (float32 matrix sections) and back. Loading fully validates the source,
-// so a defective file never converts into a "valid" one, and the output is
-// replaced atomically, so -out may name the file being served.
-func runConvert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "", "source template file (v4 template store)")
-	out := fs.String("out", "", "destination file (v4 template store; may equal -in)")
-	quantize := fs.Bool("quantize", false, "encode matrix sections as float32 (half the bytes; <=2^-24 relative rounding per value, e2e-gated)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *out == "" {
-		return errors.New("convert needs -in and -out")
-	}
-	srcInfo, err := os.Stat(*in)
-	if err != nil {
-		return err
-	}
-	d, err := core.LoadFile(*in)
-	if err != nil {
-		return fmt.Errorf("loading %s: %w", *in, err)
-	}
-	if err := d.SaveStoreFile(*out, store.Options{Quantize: *quantize}); err != nil {
-		return fmt.Errorf("writing %s: %w", *out, err)
-	}
-	dstInfo, err := os.Stat(*out)
-	if err != nil {
-		return err
-	}
-	f, err := store.Open(*out)
-	if err != nil {
-		return fmt.Errorf("re-opening %s: %w", *out, err)
-	}
-	defer f.Close()
-	fmt.Printf("converted %s (%d bytes) -> %s (%d bytes, schema v4, quantized=%v)\n",
-		*in, srcInfo.Size(), *out, dstInfo.Size(), *quantize)
-	fmt.Printf("header %d bytes (eager), %d sections / %d bytes (lazy)\n",
-		f.PayloadOffset(), len(f.Sections()), dstInfo.Size()-f.PayloadOffset())
-	return nil
 }

@@ -5,8 +5,8 @@
 //
 // Every *.tpl file in the directory becomes a template named after its
 // basename ("demo.tpl" serves as "demo"; version by naming, e.g.
-// "demo@2.tpl"). Template files are v4 template stores (scdis demo -save,
-// scdis convert); a gob file from an older build is refused per template
+// "demo@2.tpl"). Template files are v4 template stores (scdis demo -save);
+// a gob or quantized file from an older build is refused per template
 // while the others keep serving. Files are opened lazily on first request —
 // header only, the matrices materialize on the first decode — and
 // hot-reloaded: SIGHUP or POST /admin/reload rescans the directory, picking

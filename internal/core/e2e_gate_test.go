@@ -12,7 +12,6 @@ import (
 	"repro/internal/avr"
 	"repro/internal/features"
 	"repro/internal/power"
-	"repro/internal/store"
 )
 
 // The end-to-end accuracy regression gate: a deterministic synthetic dataset
@@ -170,20 +169,20 @@ func TestEndToEndAccuracyGate(t *testing.T) {
 	// Level 3: held-out evaluation — a fresh program environment and seeds
 	// never seen in training, the paper's cross-program scenario. The
 	// campaign is acquired once and reused, so the same traces also gate the
-	// template-store round trips below.
+	// template-store round trip below.
 	classBatches, regBatches := heldOutCampaign(t, cfg)
 	base := evalHeldOut(t, classBatches, regBatches, func(t *testing.T, traces [][]float64) []Decoded {
 		return disassembleBothPaths(t, d, traces)
 	})
 	assertGateFloors(t, "in-memory", base)
 
-	// Level 4: the schema-v4 store round trip. An unquantized v4 template,
-	// opened header-only and lazily materialized, must classify the whole
+	// Level 4: the schema-v4 store round trip. A v4 template, opened
+	// header-only and lazily materialized, must classify the whole
 	// held-out campaign byte-identically to the in-memory disassembler —
 	// float64 sections round-trip bitwise, so any divergence is a store bug.
 	dir := t.TempDir()
 	v4Path := filepath.Join(dir, "gate.tpl")
-	if err := d.SaveStoreFile(v4Path, store.Options{}); err != nil {
+	if err := d.SaveStoreFile(v4Path); err != nil {
 		t.Fatal(err)
 	}
 	tpl, err := OpenTemplate(v4Path)
@@ -210,26 +209,6 @@ func TestEndToEndAccuracyGate(t *testing.T) {
 			}
 		}
 	}
-
-	// Level 5: quantization. Float32 sections carry a ≤2⁻²⁴ relative
-	// rounding per value; individual borderline decisions may flip, so the
-	// gate here is the same success-rate floors, not decode identity.
-	q4Path := filepath.Join(dir, "gate_q.tpl")
-	if err := d.SaveStoreFile(q4Path, store.Options{Quantize: true}); err != nil {
-		t.Fatal(err)
-	}
-	quant, err := LoadFile(q4Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q4 := evalHeldOut(t, classBatches, regBatches, func(t *testing.T, traces [][]float64) []Decoded {
-		decs, err := quant.Disassemble(traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return decs
-	})
-	assertGateFloors(t, "quantized v4", q4)
 }
 
 // gateBatch is one held-out acquisition: the true stream and its traces.

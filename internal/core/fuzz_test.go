@@ -19,7 +19,7 @@ import (
 func stateBytes(t testing.TB, st *store.TemplateState) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := store.Write(&buf, st, store.Options{}); err != nil {
+	if err := store.Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -46,8 +46,8 @@ func craftedSeeds(t testing.TB) [][]byte {
 
 // tinyTrained trains the smallest template set that still exercises every
 // restore stage (z-score, PCA, QDA, kernel tables) — a narrow wavelet bank
-// keeps the kernel tables short — and saves it quantized: a structurally
-// real file at committable size.
+// keeps the kernel tables short — and saves it: a structurally real file at
+// committable size.
 func tinyTrained(t *testing.T) []byte {
 	cfg := smallConfig()
 	cfg.Programs = 2
@@ -59,7 +59,7 @@ func tinyTrained(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return saveBytes(t, d, store.Options{Quantize: true})
+	return saveBytes(t, d)
 }
 
 // strippedTrained keeps a trained file's header and section directory but
@@ -113,7 +113,7 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 // reject a real header whose sections are gone with ErrTemplateFormat.
 func TestStrippedTrainedSeedRejectedCleanly(t *testing.T) {
 	d, _ := sharedFixture(t)
-	b := strippedTrained(t, saveBytes(t, d, store.Options{}))
+	b := strippedTrained(t, saveBytes(t, d))
 	got, err := Load(bytes.NewReader(b))
 	if got != nil || !errors.Is(err, ErrTemplateFormat) {
 		t.Fatalf("stripped trained state: Load returned (%v, %v), want (nil, ErrTemplateFormat)", got, err)
@@ -161,7 +161,7 @@ func FuzzLoad(f *testing.F) {
 // loaded copy decodes traces identically to the original.
 func TestSaveLoadFuzzSeedRoundTrip(t *testing.T) {
 	d, traces := sharedFixture(t)
-	b := saveBytes(t, d, store.Options{})
+	b := saveBytes(t, d)
 	back, err := Load(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)

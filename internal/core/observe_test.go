@@ -296,7 +296,7 @@ func TestTemplateV2CarriesBaseline(t *testing.T) {
 	if base == nil {
 		t.Fatal("trained disassembler has no drift baseline")
 	}
-	saved := saveBytes(t, d, store.Options{})
+	saved := saveBytes(t, d)
 	d2, err := Load(bytes.NewReader(saved))
 	if err != nil {
 		t.Fatal(err)

@@ -18,18 +18,18 @@ import (
 )
 
 // saveBytes writes d as an in-memory v4 template file.
-func saveBytes(t testing.TB, d *Disassembler, opts store.Options) []byte {
+func saveBytes(t testing.TB, d *Disassembler) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := d.SaveStore(&buf, opts); err != nil {
+	if err := d.SaveStore(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // rewriteState materializes a v4 file, lets mutate edit its state, and
-// writes it back in the same encoding — how the tests build structurally
-// valid files whose content a real save could never produce.
+// writes it back — how the tests build structurally valid files whose
+// content a real save could never produce.
 func rewriteState(t testing.TB, b []byte, mutate func(*store.TemplateState)) []byte {
 	t.Helper()
 	f, err := store.OpenReaderAt(bytes.NewReader(b), int64(len(b)))
@@ -43,15 +43,15 @@ func rewriteState(t testing.TB, b []byte, mutate func(*store.TemplateState)) []b
 	}
 	mutate(st)
 	var out bytes.Buffer
-	if err := store.Write(&out, st, store.Options{Quantize: f.Quantized()}); err != nil {
+	if err := store.Write(&out, st); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
 }
 
 // planeNormalized marks every per-trace-normalized level with the retired
-// scalogram-plane NormMode — the shape `scdis convert` of an old CSA
-// template produced.
+// scalogram-plane NormMode — the shape an older build's conversion of an
+// old CSA template produced.
 func planeNormalized(st *store.TemplateState) {
 	for _, ls := range levelPtrs(st) {
 		if ls.Present && ls.Pipe.Cfg.PerTraceNorm {
@@ -90,6 +90,14 @@ func withSchema(b []byte, v uint32) []byte {
 	return out
 }
 
+// withFlags patches the prelude's flags word of a v4 file; flags 1 is how
+// older builds marked a quantized (float32) template.
+func withFlags(b []byte, flags uint32) []byte {
+	out := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(out[8:12], flags)
+	return out
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := smallConfig()
 	classes := []avr.Class{avr.OpADC, avr.OpAND}
@@ -97,7 +105,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := saveBytes(t, d, store.Options{})
+	b := saveBytes(t, d)
 	if len(b) == 0 {
 		t.Fatal("empty template file")
 	}
@@ -138,11 +146,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveUntrainedFails(t *testing.T) {
 	var d Disassembler
 	var buf bytes.Buffer
-	if err := d.SaveStore(&buf, store.Options{}); err == nil {
+	if err := d.SaveStore(&buf); err == nil {
 		t.Fatal("saving an untrained disassembler should fail")
 	}
 	path := filepath.Join(t.TempDir(), "untrained.tpl")
-	if err := d.SaveStoreFile(path, store.Options{}); err == nil {
+	if err := d.SaveStoreFile(path); err == nil {
 		t.Fatal("saving an untrained disassembler to a file should fail")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -166,7 +174,7 @@ func TestLoadMutatedTemplateBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := saveBytes(t, d, store.Options{})
+	valid := saveBytes(t, d)
 	trace := make([]float64, cfg.Power.TraceLen)
 	for i := range trace {
 		trace[i] = float64(i % 13)
@@ -216,7 +224,7 @@ func TestLoadMutatedTemplateBytes(t *testing.T) {
 
 func TestLoadRejectsFutureVersion(t *testing.T) {
 	d, _ := sharedFixture(t)
-	_, err := Load(bytes.NewReader(withSchema(saveBytes(t, d, store.Options{}), store.Version+41)))
+	_, err := Load(bytes.NewReader(withSchema(saveBytes(t, d), store.Version+41)))
 	if !errors.Is(err, ErrTemplateFormat) {
 		t.Fatalf("err = %v, want ErrTemplateFormat", err)
 	}
@@ -231,7 +239,7 @@ func TestLoadRejectsUndefinedClassTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := rewriteState(t, saveBytes(t, d, store.Options{}), func(st *store.TemplateState) {
+	mut := rewriteState(t, saveBytes(t, d), func(st *store.TemplateState) {
 		st.InstrClass[0] = []avr.Class{avr.Class(250)}
 	})
 	_, err = Load(bytes.NewReader(mut))
@@ -248,13 +256,14 @@ func TestLoadGarbageWrapsTemplateFormat(t *testing.T) {
 }
 
 // TestLoadRefusesLegacyTemplates pins the fail-closed contract of the single
-// template format: a gob file from an older build and a v4 file carrying the
-// retired scalogram-plane normalization are refused by every load path —
-// Load, LoadFile and the header-only OpenTemplate — with ErrTemplateFormat,
-// and the errors say why.
+// template format: a gob file from an older build, a v4 file marked
+// quantized and a v4 file carrying the retired scalogram-plane
+// normalization are refused by every load path — Load, LoadFile and the
+// header-only OpenTemplate — with ErrTemplateFormat, and the errors say why.
 func TestLoadRefusesLegacyTemplates(t *testing.T) {
 	d, _ := sharedFixture(t)
-	plane := rewriteState(t, saveBytes(t, d, store.Options{}), planeNormalized)
+	saved := saveBytes(t, d)
+	plane := rewriteState(t, saved, planeNormalized)
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name string
@@ -262,6 +271,7 @@ func TestLoadRefusesLegacyTemplates(t *testing.T) {
 		want string
 	}{
 		{"gob", legacyGobStream(t), "gob templates"},
+		{"quantized", withFlags(saved, 1), "quantized"},
 		{"plane", plane, "NormTrace"},
 	} {
 		path := filepath.Join(dir, tc.name+".tpl")

@@ -22,12 +22,14 @@ import (
 // and provides the Template handle serving uses for two-phase loading — a
 // cheap header-only open followed by section materialization on the first
 // decode. Gob files written by older builds (schemas v1–v3) fail the
-// store's magic check and are refused.
+// store's magic check, and float32-quantized v4 files its flags check; both
+// are refused.
 
 // ErrTemplateFormat is wrapped into every load failure caused by the
-// template file itself — a gob file from an older build, truncated or
-// corrupted bytes, an unknown schema version, or decoded state that fails
-// validation. Callers distinguish "bad file" from I/O errors with errors.Is.
+// template file itself — a gob file or a quantized file from an older
+// build, truncated or corrupted bytes, an unknown schema version, or
+// decoded state that fails validation. Callers distinguish "bad file" from
+// I/O errors with errors.Is.
 var ErrTemplateFormat = errors.New("core: invalid template file")
 
 // snapshotLevel converts one trained level into its store form, including
@@ -98,25 +100,27 @@ func (d *Disassembler) templateState() (*store.TemplateState, error) {
 	return st, nil
 }
 
-// SaveStore writes the trained template set as a schema-v4 store file.
-func (d *Disassembler) SaveStore(w io.Writer, opts store.Options) error {
+// SaveStore writes the trained template set as a schema-v4 store file. It
+// takes no options: the variadic parameter only accepts, and ignores, the
+// empty store.Options that callers of the old two-argument form still pass.
+func (d *Disassembler) SaveStore(w io.Writer, _ ...struct{}) error {
 	st, err := d.templateState()
 	if err != nil {
 		return err
 	}
-	return store.Write(w, st, opts)
+	return store.Write(w, st)
 }
 
 // SaveStoreFile is SaveStore to a path. The file is replaced atomically
 // (store.WriteFile), so a server that has the old file open keeps reading
 // it intact, and a failed save leaves neither a partial file nor a changed
 // target.
-func (d *Disassembler) SaveStoreFile(path string, opts store.Options) error {
+func (d *Disassembler) SaveStoreFile(path string) error {
 	st, err := d.templateState()
 	if err != nil {
 		return err
 	}
-	return store.WriteFile(path, st, opts)
+	return store.WriteFile(path, st)
 }
 
 // disassemblerFromTemplateState rebuilds a Disassembler from materialized
@@ -185,12 +189,12 @@ func screenNorm(levels ...store.LevelState) error {
 }
 
 // Load reads a template set written by SaveStore and materializes it whole.
-// A defective file — a gob file from an older build, truncated or
-// bit-flipped bytes, a schema version this build does not know, class tables
-// holding undefined instruction classes, a plane-normalized level, or
-// section state that fails reconstruction — yields a descriptive error
-// wrapping ErrTemplateFormat and never a panic or a partially initialized
-// Disassembler.
+// A defective file — a gob file from an older build, a quantized file,
+// truncated or bit-flipped bytes, a schema version this build does not
+// know, class tables holding undefined instruction classes, a
+// plane-normalized level, or section state that fails reconstruction —
+// yields a descriptive error wrapping ErrTemplateFormat and never a panic
+// or a partially initialized Disassembler.
 func Load(r io.Reader) (*Disassembler, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -209,7 +213,7 @@ func Load(r io.Reader) (*Disassembler, error) {
 }
 
 // Template is a two-phase handle on a template file. Open is cheap: only
-// the header is decoded (shape questions — TraceLen, Quantized — answer
+// the header is decoded (shape questions such as TraceLen answer
 // immediately); the matrices materialize on the first Disassembler call and
 // the result (or error) is remembered.
 type Template struct {
@@ -222,8 +226,8 @@ type Template struct {
 }
 
 // OpenTemplate opens path and decodes and screens its header. Bad files —
-// including gob files from older builds and plane-normalized templates —
-// fail here, wrapping ErrTemplateFormat.
+// including gob files from older builds, quantized files and
+// plane-normalized templates — fail here, wrapping ErrTemplateFormat.
 func OpenTemplate(path string) (*Template, error) {
 	f, err := store.Open(path)
 	if err != nil {
@@ -238,9 +242,6 @@ func OpenTemplate(path string) (*Template, error) {
 	}
 	return &Template{f: f}, nil
 }
-
-// Quantized reports whether the file's matrix sections are float32-encoded.
-func (t *Template) Quantized() bool { return t.f.Quantized() }
 
 // TraceLen answers from the header alone — no sections are touched.
 func (t *Template) TraceLen() int { return t.f.HeaderState().Group.Pipe.TraceLen }

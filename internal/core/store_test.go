@@ -13,10 +13,10 @@ import (
 )
 
 // saveV4 writes the fixture disassembler as a v4 file under t.TempDir.
-func saveV4(t *testing.T, d *Disassembler, opts store.Options) string {
+func saveV4(t *testing.T, d *Disassembler) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fixture.tpl")
-	if err := d.SaveStoreFile(path, opts); err != nil {
+	if err := d.SaveStoreFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -33,14 +33,11 @@ func TestStoreLazyEqualsEagerDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tpl, err := OpenTemplate(saveV4(t, d, store.Options{}))
+	tpl, err := OpenTemplate(saveV4(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tpl.Close()
-	if tpl.Quantized() {
-		t.Fatal("unquantized save reports Quantized")
-	}
 	if got := tpl.TraceLen(); got != d.TraceLen() {
 		t.Fatalf("header TraceLen = %d, want %d", got, d.TraceLen())
 	}
@@ -77,46 +74,27 @@ func TestStoreLazyEqualsEagerDecode(t *testing.T) {
 	}
 }
 
-// TestStoreConvertChain covers what `scdis convert` does: LoadFile of a v4
-// file, then SaveStoreFile over the same path. A plain re-save reproduces
-// the file byte for byte; a quantized one re-encodes it in place and still
-// decodes.
+// TestStoreConvertChain covers a load-then-re-save chain: LoadFile of a v4
+// file, then SaveStoreFile over the same path. The re-save reproduces the
+// file byte for byte, and the re-saved file decodes as the original.
 func TestStoreConvertChain(t *testing.T) {
 	d, traces := sharedFixture(t)
 	want, err := d.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveV4(t, d, store.Options{})
+	path := saveV4(t, d)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	convert := func(quantize bool) *Disassembler {
-		t.Helper()
-		loaded, err := LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := loaded.SaveStoreFile(path, store.Options{Quantize: quantize}); err != nil {
-			t.Fatal(err)
-		}
-		tpl, err := OpenTemplate(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tpl.Close()
-		if tpl.Quantized() != quantize {
-			t.Fatalf("converted file Quantized = %v, want %v", tpl.Quantized(), quantize)
-		}
-		conv, err := tpl.Disassembler()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conv
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	plain := convert(false)
+	if err := loaded.SaveStoreFile(path); err != nil {
+		t.Fatal(err)
+	}
 	back, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -124,45 +102,23 @@ func TestStoreConvertChain(t *testing.T) {
 	if !bytes.Equal(back, orig) {
 		t.Fatal("a plain re-save changed the file bytes")
 	}
-	got, err := plain.Disassemble(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("converted decode %d = %+v, original %+v", i, got[i], want[i])
-		}
-	}
-	if decs, err := convert(true).Disassemble(traces); err != nil || len(decs) != len(traces) {
-		t.Fatalf("quantized conversion decoded %d of %d traces: %v", len(decs), len(traces), err)
-	}
-}
-
-// TestStoreQuantizedTemplateClassifies pins that a float32-quantized template
-// loads and classifies the fixture campaign (the accuracy floors under
-// quantization are enforced by the e2e gate; here the contract is that the
-// half-size file is a working template, not a lossy wreck).
-func TestStoreQuantizedTemplateClassifies(t *testing.T) {
-	d, traces := sharedFixture(t)
-	path := saveV4(t, d, store.Options{Quantize: true})
 	tpl, err := OpenTemplate(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tpl.Close()
-	if !tpl.Quantized() {
-		t.Fatal("quantized save does not report Quantized")
-	}
-	q, err := tpl.Disassembler()
+	resaved, err := tpl.Disassembler()
 	if err != nil {
 		t.Fatal(err)
 	}
-	decs, err := q.Disassemble(traces)
+	got, err := resaved.Disassemble(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decs) != len(traces) {
-		t.Fatalf("quantized decode returned %d results for %d traces", len(decs), len(traces))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("re-saved decode %d = %+v, original %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -173,7 +129,7 @@ func TestStoreQuantizedTemplateClassifies(t *testing.T) {
 // the handle never yields a partially initialized disassembler.
 func TestStoreCorruptSectionFailsClosed(t *testing.T) {
 	d, _ := sharedFixture(t)
-	path := saveV4(t, d, store.Options{})
+	path := saveV4(t, d)
 	sf, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +211,7 @@ func TestOpenTemplateRejectsDefectiveFiles(t *testing.T) {
 // never-materialized v4 handle refuses to materialize instead of crashing.
 func TestTemplateCloseBeforeMaterialize(t *testing.T) {
 	d, _ := sharedFixture(t)
-	tpl, err := OpenTemplate(saveV4(t, d, store.Options{}))
+	tpl, err := OpenTemplate(saveV4(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +239,7 @@ func TestTemplateCloseWaitsForMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := saveV4(t, d, store.Options{})
+	path := saveV4(t, d)
 
 	tpl, err := OpenTemplate(path)
 	if err != nil {

@@ -550,7 +550,9 @@ func (pl *Pipeline) NumClasses() int { return pl.nClasses }
 // TraceLen returns the trace length the pipeline was fitted for.
 func (pl *Pipeline) TraceLen() int { return pl.sel.TraceLen }
 
-// PairCount returns the number of class pairs.
+// PairCount returns the number of class pairs the fit selected features
+// for — 0 on a pipeline restored from a PipelineState, which does not carry
+// the per-pair tables.
 func (pl *Pipeline) PairCount() int { return len(pl.Pairs) }
 
 // PairVector slices a pair-specific feature vector (the paper's x_{i,j} for

@@ -9,9 +9,10 @@ import (
 )
 
 // Section codec for the flat template store (internal/store): the PCA
-// projection basis is the pipeline's one big matrix — everything else in a
-// PipelineState (selected points, KL pair tables, z-score moments, drift
-// baseline) is small enough to live in the store's eagerly decoded header.
+// projection basis is the pipeline's one big matrix section. The store
+// moves the selected points, the z-score moments and the PCA mean and
+// eigenvalues into its lazily loaded per-level aux section; the config,
+// trace length and drift baseline stay in its eagerly decoded header.
 
 // Sections enumerates the pipeline snapshot's matrix payloads. On a
 // stripped snapshot the entry carries shape with nil Data.

@@ -8,13 +8,14 @@ import (
 )
 
 // PipelineState is the serializable form of a fitted Pipeline: everything
-// needed to rebuild the extraction chain without retraining.
+// inference needs to rebuild the extraction chain without retraining. The
+// per-pair selection (Pipeline.Pairs) serves only majority voting on a
+// freshly fitted pipeline and is not part of it, so a restored pipeline
+// has PairCount() == 0.
 type PipelineState struct {
 	Cfg      PipelineConfig
 	TraceLen int
 	Points   []Point
-	Pairs    []PairFeatures
-	PairIdx  [][]int
 	Z        *stats.ZScoreNormalizer // nil when standardization is off
 	PCA      *PCA
 	NClasses int
@@ -32,8 +33,6 @@ func (pl *Pipeline) State() (*PipelineState, error) {
 		Cfg:      pl.cfg,
 		TraceLen: pl.sel.TraceLen,
 		Points:   pl.Points,
-		Pairs:    pl.Pairs,
-		PairIdx:  pl.pairIdx,
 		Z:        pl.z,
 		PCA:      pl.pca,
 		NClasses: pl.nClasses,
@@ -78,8 +77,6 @@ func PipelineFromState(st *PipelineState) (*Pipeline, error) {
 		cfg:      st.Cfg,
 		sel:      sel,
 		Points:   st.Points,
-		Pairs:    st.Pairs,
-		pairIdx:  st.PairIdx,
 		z:        st.Z,
 		pca:      st.PCA,
 		baseline: st.Baseline,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math/rand"
 	"os"
@@ -49,7 +50,7 @@ func fixture(t *testing.T) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := d.SaveStore(&buf, store.Options{}); err != nil {
+		if err := d.SaveStore(&buf); err != nil {
 			fx.err = err
 			return
 		}
@@ -109,8 +110,8 @@ func legacyGobTemplate(t *testing.T) []byte {
 }
 
 // reencodedTemplate materializes the fixture template, applies mutate
-// (when non-nil) and writes the state back with opts.
-func reencodedTemplate(t *testing.T, opts store.Options, mutate func(*store.TemplateState)) []byte {
+// and writes the state back.
+func reencodedTemplate(t *testing.T, mutate func(*store.TemplateState)) []byte {
 	t.Helper()
 	fixture(t)
 	f, err := store.OpenReaderAt(bytes.NewReader(fx.tpl), int64(len(fx.tpl)))
@@ -122,14 +123,21 @@ func reencodedTemplate(t *testing.T, opts store.Options, mutate func(*store.Temp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mutate != nil {
-		mutate(st)
-	}
+	mutate(st)
 	var buf bytes.Buffer
-	if err := store.Write(&buf, st, opts); err != nil {
+	if err := store.Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// levelPtrs lists every level slot of st: group, Rd, Rr, then the groups.
+func levelPtrs(st *store.TemplateState) []*store.LevelState {
+	levels := []*store.LevelState{&st.Group, &st.Rd, &st.Rr}
+	for i := range st.Instr {
+		levels = append(levels, &st.Instr[i])
+	}
+	return levels
 }
 
 // planeNormalizedTemplate rewrites the fixture template with the retired
@@ -137,17 +145,37 @@ func reencodedTemplate(t *testing.T, opts store.Options, mutate func(*store.Temp
 // an old CSA template converted to v4 has.
 func planeNormalizedTemplate(t *testing.T) []byte {
 	t.Helper()
-	return reencodedTemplate(t, store.Options{}, func(st *store.TemplateState) {
-		levels := []*store.LevelState{&st.Group, &st.Rd, &st.Rr}
-		for i := range st.Instr {
-			levels = append(levels, &st.Instr[i])
-		}
-		for _, ls := range levels {
+	return reencodedTemplate(t, func(st *store.TemplateState) {
+		for _, ls := range levelPtrs(st) {
 			if ls.Present && ls.Pipe.Cfg.PerTraceNorm {
 				ls.Pipe.Cfg.NormMode = 0
 			}
 		}
 	})
+}
+
+// baselineFreeTemplate rewrites the fixture template without its drift
+// baselines: a different valid state of another size that decodes the same
+// labels.
+func baselineFreeTemplate(t *testing.T) []byte {
+	t.Helper()
+	return reencodedTemplate(t, func(st *store.TemplateState) {
+		for _, ls := range levelPtrs(st) {
+			if ls.Present {
+				ls.Pipe.Baseline = nil
+			}
+		}
+	})
+}
+
+// quantizedTemplate is the fixture template with its flags word set to 1,
+// how older builds marked a float32-quantized file.
+func quantizedTemplate(t *testing.T) []byte {
+	t.Helper()
+	fixture(t)
+	b := append([]byte(nil), fx.tpl...)
+	binary.LittleEndian.PutUint32(b[8:12], 1)
+	return b
 }
 
 // newTestRegistry builds a registry over a fresh temp dir holding the

@@ -230,15 +230,15 @@ func (r *Registry) Get(name string) (*loaded, error) {
 
 // load opens one template file, stopping at the header — the cold-start
 // path a registry of N devices × M firmware revisions needs. Called with the
-// entry lock held. A gob file from an older build or a plane-normalized
-// template fails here, as a per-template load error.
+// entry lock held. A gob file or a quantized file from an older build, or a
+// plane-normalized template, fails here as a per-template load error.
 func (r *Registry) load(e *entry) (*loaded, error) {
 	tpl, err := core.OpenTemplate(e.path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading template %q: %w", e.name, err)
 	}
 	st := &loaded{reg: r, name: e.name, tpl: tpl, traceLen: tpl.TraceLen(), openedAt: time.Now()}
-	r.log.Info("template opened", "template", e.name, "trace_len", st.traceLen, "quantized", tpl.Quantized())
+	r.log.Info("template opened", "template", e.name, "trace_len", st.traceLen)
 	return st, nil
 }
 

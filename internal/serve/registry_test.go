@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/store"
 )
 
 // TestRegistryLazyLoadAndStatuses pins the lazy-loading contract: scanning
@@ -193,20 +192,22 @@ func TestRegistryReloadNotBlockedBySlowLoad(t *testing.T) {
 }
 
 // TestRegistryRefusesLegacyTemplates pins the fail-closed registry
-// contract: a gob file from an older build and a plane-normalized v4 file
-// each fail their own Get with core.ErrTemplateFormat and an Error status,
-// while the current template in the same directory keeps serving.
+// contract: a gob file from an older build, a v4 file marked quantized and
+// a plane-normalized v4 file each fail their own Get with
+// core.ErrTemplateFormat and an Error status, while the current template in
+// the same directory keeps serving.
 func TestRegistryRefusesLegacyTemplates(t *testing.T) {
 	fixture(t)
 	dir := t.TempDir()
 	writeTemplate(t, dir, "demo", fx.tpl)
 	writeTemplate(t, dir, "gob", legacyGobTemplate(t))
+	writeTemplate(t, dir, "quantized", quantizedTemplate(t))
 	writeTemplate(t, dir, "plane", planeNormalizedTemplate(t))
 	reg, err := NewRegistry(dir, RegistryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"gob", "plane"} {
+	for _, name := range []string{"gob", "quantized", "plane"} {
 		if _, err := reg.Get(name); !errors.Is(err, core.ErrTemplateFormat) {
 			t.Fatalf("Get(%q) err = %v, want core.ErrTemplateFormat", name, err)
 		}
@@ -272,8 +273,9 @@ func TestRegistryTruncatedTemplateFailsClosed(t *testing.T) {
 }
 
 // TestRegistryRewrittenTemplateFailsClosed overwrites a template in place —
-// same path, same inode, as cp does — after a header-only Get, with the
-// quantized encoding of the same state. The open handle still reads at the
+// same path, same inode, as cp does — after a header-only Get, with a
+// different valid state of another size (the same template without its
+// drift baselines). The open handle still reads at the
 // old directory's offsets, so the template must answer 503 (a CRC mismatch
 // or a short read) while the others keep serving their exact labels. Once a
 // reload sees the changed size, the template serves what the new bytes
@@ -287,7 +289,10 @@ func TestRegistryRewrittenTemplateFailsClosed(t *testing.T) {
 	if _, err := s.reg.Get("victim"); err != nil {
 		t.Fatal(err)
 	}
-	rewritten := reencodedTemplate(t, store.Options{Quantize: true}, nil)
+	rewritten := baselineFreeTemplate(t)
+	if len(rewritten) == len(fx.tpl) {
+		t.Fatal("the rewritten template has the old size; a reload could miss the change")
+	}
 	if err := os.WriteFile(victim, rewritten, 0o644); err != nil {
 		t.Fatal(err)
 	}

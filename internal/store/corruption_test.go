@@ -13,7 +13,7 @@ import (
 // materialize into a classifying template.
 func TestCorruptionMatrix(t *testing.T) {
 	st := tinyState()
-	valid := writeBytes(t, st, Options{})
+	valid := writeBytes(t, st)
 	want, wantAux := expectedPayloads(t, st)
 	ref := openBytes(t, valid)
 	payloadOff := ref.PayloadOffset()
@@ -80,27 +80,5 @@ func TestCorruptionMatrix(t *testing.T) {
 				t.Fatalf("corrupted %q: Template error %v does not pin the section", target.Name, err)
 			}
 		})
-	}
-}
-
-// TestCorruptionDetectedUnderQuantization repeats the single-byte flip on a
-// quantized file for one section of each encoding-sensitive family — CRCs
-// are computed over the on-disk (quantized) bytes, so detection must not
-// depend on the encoding.
-func TestCorruptionDetectedUnderQuantization(t *testing.T) {
-	valid := writeBytes(t, tinyState(), Options{Quantize: true})
-	ref := openBytes(t, valid)
-	for _, target := range ref.Sections() {
-		b := append([]byte(nil), valid...)
-		b[ref.PayloadOffset()+target.Offset] ^= 0x01
-		f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var se *SectionError
-		if _, err := f.LoadSectionBytes(target.Name); !errors.As(err, &se) || se.Section != target.Name {
-			t.Fatalf("quantized corruption of %q undetected: %v", target.Name, err)
-		}
-		f.Close()
 	}
 }

@@ -11,12 +11,13 @@ import (
 )
 
 // fuzzSeeds builds the deterministic seed set shared by the committed corpus
-// and FuzzStoreOpen's in-process f.Add calls: a valid tiny v4 file (both
-// encodings), truncations at each region boundary, single-byte damage in the
-// header and in a section payload, and a hand-crafted directory claiming a
-// section past EOF — the cases the format's screens exist for.
+// and FuzzStoreOpen's in-process f.Add calls: a valid tiny v4 file, the same
+// file with its flags word set to the retired quantized bit, truncations at
+// each region boundary, single-byte damage in the header and in a section
+// payload, and a hand-crafted directory claiming a section past EOF — the
+// cases the format's screens exist for.
 func fuzzSeeds(t testing.TB) map[string][]byte {
-	valid := writeBytes(t, tinyState(), Options{})
+	valid := writeBytes(t, tinyState())
 	flip := func(b []byte, i int) []byte {
 		out := append([]byte(nil), b...)
 		out[i] ^= 0x20
@@ -30,7 +31,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 	firstPayload := int(ref.PayloadOffset()) + 1
 	return map[string][]byte{
 		"valid_v4":          valid,
-		"valid_quantized":   writeBytes(t, tinyState(), Options{Quantize: true}),
+		"flagged":           withFlags(valid, 1),
 		"empty":             {},
 		"bad_magic":         flip(valid, 1),
 		"truncated_prelude": valid[:preludeLen/2],
@@ -82,7 +83,6 @@ func FuzzStoreOpen(f *testing.F) {
 		}
 		defer sf.Close()
 		// Shape accessors must be safe on anything that opened.
-		_ = sf.Quantized()
 		_ = sf.Sections()
 		if sf.HeaderState() == nil {
 			t.Fatal("opened file carries no header state")

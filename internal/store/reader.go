@@ -31,7 +31,6 @@ const chunkLen = 64 << 10
 type File struct {
 	r          io.ReaderAt
 	closer     io.Closer // the file Open opened; nil for OpenReaderAt
-	quantized  bool
 	payloadOff int64
 	payloadLen int64
 	hdr        fileHeader
@@ -44,10 +43,10 @@ type File struct {
 
 // Open opens a v4 template file and eagerly decodes its header; sections
 // are read from the open descriptor until Close. Defective files — wrong
-// magic, unknown version, truncated regions, a directory that cannot be
-// valid — yield an error wrapping ErrFormat and never a panic, for
-// arbitrary input bytes (FuzzStoreOpen pins this on OpenReaderAt, which
-// runs the same code).
+// magic, unknown version, a set flags bit, truncated regions, a directory
+// that cannot be valid — yield an error wrapping ErrFormat and never a
+// panic, for arbitrary input bytes (FuzzStoreOpen pins this on
+// OpenReaderAt, which runs the same code).
 func Open(path string) (*File, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -87,7 +86,13 @@ func OpenReaderAt(r io.ReaderAt, size int64) (*File, error) {
 		}
 		return nil, fmt.Errorf("%w: schema version %d, want %d", ErrFormat, v, Version)
 	}
-	flags := binary.LittleEndian.Uint32(pre[8:12])
+	switch flags := binary.LittleEndian.Uint32(pre[8:12]); {
+	case flags&1 != 0:
+		// Bit 0 marked float32-quantized matrix sections.
+		return nil, fmt.Errorf("%w: flags %#x mark a quantized (float32) template: quantized templates are no longer read; serve or re-save the float64 template it was converted from, or retrain", ErrFormat, flags)
+	case flags != 0:
+		return nil, fmt.Errorf("%w: flags %#x: this build defines no flags", ErrFormat, flags)
+	}
 	hlen := int64(binary.LittleEndian.Uint32(pre[12:16]))
 	if hlen == 0 || hlen > size-preludeLen {
 		return nil, fmt.Errorf("%w: header of %d bytes does not fit the %d-byte file", ErrFormat, hlen, size)
@@ -111,16 +116,11 @@ func OpenReaderAt(r io.ReaderAt, size int64) (*File, error) {
 	}
 	f := &File{
 		r:          r,
-		quantized:  flags&flagQuantized != 0,
 		payloadOff: preludeLen + hlen,
 		payloadLen: size - preludeLen - hlen,
 		hdr:        hdr,
 		hdrBytes:   hdrBytes,
 		byName:     make(map[string]int, len(hdr.Sections)),
-	}
-	wantEnc := EncFloat64
-	if f.quantized {
-		wantEnc = EncFloat32
 	}
 	byKey := make(map[string]*LevelState, avr.NumGroups+3)
 	for _, r := range levels(hdr.State) {
@@ -137,8 +137,8 @@ func OpenReaderAt(r io.ReaderAt, size int64) (*File, error) {
 			if s.Encoding != EncRaw {
 				return nil, fmt.Errorf("%w: aux section %q must be raw-encoded, claims %d", ErrFormat, s.Name, s.Encoding)
 			}
-		} else if s.Encoding != wantEnc {
-			return nil, fmt.Errorf("%w: section %q encoding %d disagrees with the file flags", ErrFormat, s.Name, s.Encoding)
+		} else if s.Encoding != EncFloat64 {
+			return nil, fmt.Errorf("%w: matrix section %q must be float64-encoded, claims %d", ErrFormat, s.Name, s.Encoding)
 		}
 		if s.Rows < 0 || s.Cols < 0 || s.Rows > maxDim || s.Cols > maxDim {
 			return nil, fmt.Errorf("%w: section %q claims impossible shape %dx%d", ErrFormat, s.Name, s.Rows, s.Cols)
@@ -178,9 +178,6 @@ func routeCheck(byKey map[string]*LevelState, name string) error {
 	}
 	return fmt.Errorf("unknown section kind %q", name)
 }
-
-// Quantized reports whether matrix sections are float32-encoded.
-func (f *File) Quantized() bool { return f.quantized }
 
 // Sections returns a copy of the section directory.
 func (f *File) Sections() []SectionInfo {
@@ -275,7 +272,7 @@ func (f *File) loadFloats(info SectionInfo, buf []byte) ([]float64, error) {
 			return nil, sectionFault(info.Name, err)
 		}
 		crc = crc32.Update(crc, castagnoli, b)
-		done += decodeFloats(data[done:], b, info.Encoding)
+		done += decodeFloats(data[done:], b)
 		off += int64(len(b))
 	}
 	if err := checkCRC(info, crc); err != nil {
@@ -308,16 +305,9 @@ func (f *File) LoadSectionBytes(name string) ([]byte, error) {
 	return out, nil
 }
 
-// decodeFloats unpacks the values in b into dst and returns how many it
-// wrote; len(b) is a multiple of the value size by construction.
-func decodeFloats(dst []float64, b []byte, enc Encoding) int {
-	if enc == EncFloat32 {
-		n := len(b) / 4
-		for i := range dst[:n] {
-			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
-		}
-		return n
-	}
+// decodeFloats unpacks the little-endian float64s in b into dst and
+// returns how many it wrote; len(b) is a multiple of 8 by construction.
+func decodeFloats(dst []float64, b []byte) int {
 	n := len(b) / 8
 	for i := range dst[:n] {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
@@ -396,8 +386,6 @@ func graftAux(lvl *LevelState, blob []byte) error {
 		return errors.New("duplicate aux payload")
 	}
 	lvl.Pipe.Points = aux.Points
-	lvl.Pipe.Pairs = aux.Pairs
-	lvl.Pipe.PairIdx = aux.PairIdx
 	lvl.Pipe.Z = aux.Z
 	lvl.Clf = aux.Clf
 	if lvl.Pipe.PCA != nil {

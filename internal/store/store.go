@@ -6,7 +6,8 @@
 //
 //	[0:4)    magic "SCT4"
 //	[4:8)    uint32 schema version (4)
-//	[8:12)   uint32 flags (bit 0: matrix sections quantized to float32)
+//	[8:12)   uint32 flags, always 0 (bit 0 marked the retired float32
+//	          encoding; any set bit is refused)
 //	[12:16)  uint32 header length H
 //	[16:20)  uint32 CRC-32C of the header bytes
 //	[20:20+H) gob-encoded header: the stripped template state (configs,
@@ -21,12 +22,13 @@
 // training sets, sparse-CWT kernel tables) are section-addressed and
 // materialize lazily on the first decode, read through io.ReaderAt from the
 // descriptor Open keeps. The bulky non-matrix structure — selected points,
-// per-pair KL tables, z-score moments, kernel cell indices — rides in one
-// raw-encoded "<level>/aux" gob section per level (see levelAux): it is
-// reflection-heavy to decode, so keeping it out of the header is what makes
-// Open cheap. Directory offsets are relative to the payload region start
-// because gob encodes integers variable-length: absolute offsets would
-// change the header's own length.
+// z-score moments, PCA mean and eigenvalues, the stripped classifier
+// snapshot, kernel cell indices — rides in one raw-encoded "<level>/aux"
+// gob section per level (see levelAux): it is reflection-heavy to decode,
+// so keeping it out of the header is what makes Open cheap. Directory
+// offsets are relative to the payload region start because gob encodes
+// integers variable-length: absolute offsets would change the header's own
+// length.
 package store
 
 import (
@@ -48,9 +50,6 @@ const (
 	Magic = "SCT4"
 	// Version is the schema this package reads and writes.
 	Version = 4
-
-	// flagQuantized marks files whose matrix sections are float32-encoded.
-	flagQuantized = 1 << 0
 
 	// preludeLen is the fixed-size region before the gob header.
 	preludeLen = 20
@@ -84,28 +83,22 @@ type SectionError struct {
 func (e *SectionError) Error() string { return fmt.Sprintf("store: section %q: %v", e.Section, e.Err) }
 func (e *SectionError) Unwrap() error { return e.Err }
 
-// Encoding identifies how a section's float64 values are packed on disk.
+// Encoding identifies how a section's payload is packed on disk. Value 1,
+// the retired float32 encoding, stays reserved so EncRaw keeps its on-disk
+// value.
 type Encoding uint8
 
 const (
-	// EncFloat64 stores values verbatim: 8 bytes each, bitwise round-trip.
+	// EncFloat64 stores float64 values verbatim: 8 bytes each, bitwise
+	// round-trip. Every matrix section uses it.
 	EncFloat64 Encoding = 0
-	// EncFloat32 stores float32(v): 4 bytes each. Decoding yields exactly
-	// float64(float32(v)) — a documented relative rounding of at most 2⁻²⁴
-	// (half-ULP of float32) per value, gated end-to-end by the e2e accuracy
-	// harness.
-	EncFloat32 Encoding = 1
 	// EncRaw stores an opaque byte blob verbatim (one byte per element,
-	// Rows=1). It carries the per-level aux gob (see levelAux) and is never
-	// quantized — the blob is integers and exact moments, not matrix data.
+	// Rows=1). It carries the per-level aux gob (see levelAux).
 	EncRaw Encoding = 2
 )
 
 func (e Encoding) valueSize() int64 {
-	switch e {
-	case EncFloat32:
-		return 4
-	case EncRaw:
+	if e == EncRaw {
 		return 1
 	}
 	return 8
@@ -118,7 +111,7 @@ type SectionInfo struct {
 	Offset     int64 // relative to the payload region start
 	Rows, Cols int
 	Encoding   Encoding
-	CRC        uint32 // CRC-32C of the on-disk (possibly quantized) bytes
+	CRC        uint32 // CRC-32C of the on-disk bytes
 }
 
 func (s SectionInfo) elems() int64 { return int64(s.Rows) * int64(s.Cols) }
@@ -177,15 +170,16 @@ type fileHeader struct {
 // levelAux is the payload of a "<key>/aux" section: the selection and
 // normalization structure that is not a float64 matrix but is far too
 // expensive for the eager header — gob spends most of a header decode
-// reflecting over these many small records (selected points, per-pair KL
-// tables, kernel cell indices). Moving them into one lazily loaded,
-// CRC-checked blob per level is what keeps Open proportional to the truly
-// small state (configs, class tables, per-class vectors) and the registry
-// cold start an order of magnitude under full materialization.
+// reflecting over these many small records (selected points, kernel cell
+// indices). Moving them into one lazily loaded, CRC-checked blob per level
+// is what keeps Open proportional to the truly small state (configs, class
+// tables, per-class vectors) and the registry cold start an order of
+// magnitude under full materialization. It holds only what inference
+// reads: the per-pair KL tables of the majority-voting variant are not
+// persisted, and the aux of a file that still carries them decodes here
+// because gob skips fields this type lacks.
 type levelAux struct {
 	Points  []features.Point
-	Pairs   []features.PairFeatures
-	PairIdx [][]int
 	Z       *stats.ZScoreNormalizer
 	PCAMean []float64
 	PCAEig  []float64

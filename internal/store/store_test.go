@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -27,8 +28,8 @@ import (
 // tinyState builds a hand-sized template state that exercises every section
 // family the format defines: a PCA basis per level, one classifier of each
 // matrix-bearing family (LDA, QDA, kNN, SVM), and a sparse kernel table.
-// The values are chosen non-float32-representable (thirds, sevenths) so the
-// quantization property below actually measures rounding.
+// The values are thirds and sevenths, so a bitwise round trip checks every
+// mantissa bit.
 func tinyState() *TemplateState {
 	vals := func(n int, seed float64) []float64 {
 		out := make([]float64, n)
@@ -51,13 +52,7 @@ func tinyState() *TemplateState {
 		return &features.PipelineState{
 			TraceLen: 16,
 			Points:   []features.Point{{Scale: 0, Time: 1}, {Scale: 1, Time: 2}},
-			Pairs: []features.PairFeatures{{
-				A: 0, B: 1,
-				Points: []features.Point{{Scale: 0, Time: 1}},
-				KL:     vals(1, seed+0.25),
-			}},
-			PairIdx: [][]int{{0}},
-			Z:       &stats.ZScoreNormalizer{Means: vals(3, seed+0.125), Stds: vals(3, seed+0.375)},
+			Z:        &stats.ZScoreNormalizer{Means: vals(3, seed+0.125), Stds: vals(3, seed+0.375)},
 			PCA: &features.PCA{
 				Mean:       vals(3, seed),
 				Components: mat(2, 3, seed+0.5),
@@ -113,6 +108,15 @@ func tinyState() *TemplateState {
 	return st
 }
 
+// otherState is a valid state of another size than tinyState (its kNN level
+// is absent): the replacement the tests that rewrite a file write, so the
+// new bytes match neither the old directory nor the old length.
+func otherState() *TemplateState {
+	st := tinyState()
+	st.Instr[1] = LevelState{}
+	return st
+}
+
 // expectedPayloads enumerates the tiny state's section payloads by name:
 // float values for matrix sections, raw gob bytes for the per-level aux
 // blobs.
@@ -134,10 +138,10 @@ func expectedPayloads(t testing.TB, st *TemplateState) (map[string][]float64, ma
 	return floats, raws
 }
 
-func writeBytes(t testing.TB, st *TemplateState, opts Options) []byte {
+func writeBytes(t testing.TB, st *TemplateState) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, st, opts); err != nil {
+	if err := Write(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -188,15 +192,12 @@ func TestRoundTripBitwiseAnySectionOrder(t *testing.T) {
 			g.Rng.Shuffle(len(secs), func(i, j int) { secs[i], secs[j] = secs[j], secs[i] })
 		}
 		defer func() { testShuffleSections = nil }()
-		b := writeBytes(t, st, Options{})
+		b := writeBytes(t, st)
 		f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if f.Quantized() {
-			return errors.New("unquantized file reports Quantized")
-		}
 		if got := len(f.Sections()); got != len(want)+len(wantAux) {
 			return fmt.Errorf("directory holds %d sections, want %d", got, len(want)+len(wantAux))
 		}
@@ -243,9 +244,6 @@ func TestRoundTripBitwiseAnySectionOrder(t *testing.T) {
 		if len(gp.Points) != len(op.Points) || gp.Points[1] != op.Points[1] {
 			return errors.New("materialized selected points differ from the saved state")
 		}
-		if len(gp.Pairs) != 1 || gp.Pairs[0].A != op.Pairs[0].A || !bitsEqual(gp.Pairs[0].KL, op.Pairs[0].KL) {
-			return errors.New("materialized pair tables differ from the saved state")
-		}
 		if gp.Z == nil || !bitsEqual(gp.Z.Means, op.Z.Means) || !bitsEqual(gp.Z.Stds, op.Z.Stds) {
 			return errors.New("materialized z-score moments differ from the saved state")
 		}
@@ -285,53 +283,11 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestQuantizedRoundTripExactRule pins the quantization contract: every
-// decoded value is exactly float64(float32(x)) — the documented ≤2⁻²⁴
-// relative rounding, stated as an equality rather than a tolerance.
-func TestQuantizedRoundTripExactRule(t *testing.T) {
-	st := tinyState()
-	want, wantAux := expectedPayloads(t, st)
-	f := openBytes(t, writeBytes(t, st, Options{Quantize: true}))
-	if !f.Quantized() {
-		t.Fatal("quantized file does not report Quantized")
-	}
-	// Aux blobs are exempt from quantization: byte-identical either way.
-	for name, wb := range wantAux {
-		got, err := f.LoadSectionBytes(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wb) {
-			t.Fatalf("aux section %q altered by quantization", name)
-		}
-	}
-	for name, wv := range want {
-		got, err := f.LoadSection(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range wv {
-			q := float64(float32(x))
-			if math.Float64bits(got[i]) != math.Float64bits(q) {
-				t.Fatalf("section %q value %d = %v, want float64(float32(%v)) = %v", name, i, got[i], x, q)
-			}
-			if x != 0 {
-				if rel := math.Abs((q - x) / x); rel > math.Exp2(-24) {
-					t.Fatalf("section %q value %d rounding %.3g exceeds the documented 2^-24 bound", name, i, rel)
-				}
-			}
-		}
-	}
-	if _, err := f.Template(); err != nil {
-		t.Fatalf("quantized template failed to materialize: %v", err)
-	}
-}
-
 // TestOpenRejectsCraftedDirectories covers the Open-time directory screen:
 // each hand-mutated header must be rejected with ErrFormat before any
 // payload is touched.
 func TestOpenRejectsCraftedDirectories(t *testing.T) {
-	valid := writeBytes(t, tinyState(), Options{})
+	valid := writeBytes(t, tinyState())
 	cases := []struct {
 		name   string
 		mutate func(h *fileHeader)
@@ -345,7 +301,7 @@ func TestOpenRejectsCraftedDirectories(t *testing.T) {
 		{"unroutable name", func(h *fileHeader) { h.Sections[0].Name = "group/clfx" }},
 		{"absent level", func(h *fileHeader) { h.Sections[0].Name = "rr/pca" }},
 		{"kernel on table-less level", func(h *fileHeader) { h.Sections[0].Name = "g1/cwt.re" }},
-		{"encoding disagrees with flags", func(h *fileHeader) { h.Sections[0].Encoding = EncFloat32 }},
+		{"encoding disagrees with flags", func(h *fileHeader) { h.Sections[0].Encoding = 1 }}, // the retired float32 encoding
 		{"matrix claiming raw encoding", func(h *fileHeader) { h.Sections[0].Encoding = EncRaw }},
 		{"aux claiming float encoding", func(h *fileHeader) {
 			for i := range h.Sections {
@@ -370,7 +326,7 @@ func TestOpenRejectsCraftedDirectories(t *testing.T) {
 
 // TestOpenRejectsBadPrelude covers the fixed-size region's own screen.
 func TestOpenRejectsBadPrelude(t *testing.T) {
-	valid := writeBytes(t, tinyState(), Options{})
+	valid := writeBytes(t, tinyState())
 	flip := func(b []byte, i int) []byte {
 		out := append([]byte(nil), b...)
 		out[i] ^= 0x40
@@ -401,12 +357,102 @@ func TestOpenRejectsBadPrelude(t *testing.T) {
 	}
 }
 
+// TestOpensAuxWithPairTables pins that a v4 file written before the per-pair
+// KL tables left the format still materializes: its aux blobs carry Pairs
+// and PairIdx, which gob skips because levelAux no longer has them. The
+// writer's section hook swaps the group level's aux blob for one of that
+// older shape before offsets and CRCs are assigned.
+func TestOpensAuxWithPairTables(t *testing.T) {
+	type olderAux struct {
+		Points          []features.Point
+		Pairs           []features.PairFeatures
+		PairIdx         [][]int
+		Z               *stats.ZScoreNormalizer
+		PCAMean, PCAEig []float64
+		Clf             *ml.ClassifierState
+		Cells           []dsp.Cell
+		Lo, Off         []int
+	}
+	plain := writeBytes(t, tinyState())
+	want, err := openBytes(t, plain).Template()
+	if err != nil {
+		t.Fatal(err)
+	}
+	testShuffleSections = func(secs []section) {
+		for i := range secs {
+			if secs[i].info.Name != "group/aux" {
+				continue
+			}
+			var aux levelAux
+			if err := gob.NewDecoder(bytes.NewReader(secs[i].raw)).Decode(&aux); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(olderAux{
+				Points: aux.Points,
+				Pairs: []features.PairFeatures{{
+					A: 0, B: 1, Points: aux.Points[:1], KL: []float64{0.5},
+				}},
+				PairIdx: [][]int{{0}},
+				Z:       aux.Z, PCAMean: aux.PCAMean, PCAEig: aux.PCAEig,
+				Clf: aux.Clf, Cells: aux.Cells, Lo: aux.Lo, Off: aux.Off,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			secs[i].raw, secs[i].info.Cols = buf.Bytes(), buf.Len()
+		}
+	}
+	defer func() { testShuffleSections = nil }()
+	older := writeBytes(t, tinyState())
+	if len(older) <= len(plain) {
+		t.Fatal("the section hook did not swap in the older aux blob")
+	}
+	got, err := openBytes(t, older).Template()
+	if err != nil {
+		t.Fatalf("a file whose aux carries pair tables no longer materializes: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a file whose aux carries pair tables materializes to a different state")
+	}
+}
+
+// withFlags returns a copy of a file with its prelude flags word set. The
+// header CRC does not cover the prelude, so the rest stays valid.
+func withFlags(b []byte, flags uint32) []byte {
+	out := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(out[8:12], flags)
+	return out
+}
+
+// TestOpenRefusesFlags pins that the flags word must be 0: bit 0, which
+// marked the retired float32 encoding, is refused with a message that says
+// so, and a bit no build ever defined is refused too.
+func TestOpenRefusesFlags(t *testing.T) {
+	valid := writeBytes(t, tinyState())
+	for _, tc := range []struct {
+		flags uint32
+		want  string
+	}{
+		{1, "quantized"},
+		{2, "defines no flags"},
+	} {
+		b := withFlags(valid, tc.flags)
+		f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
+		if f != nil || !errors.Is(err, ErrFormat) {
+			t.Fatalf("flags %#x: OpenReaderAt returned (%v, %v), want (nil, ErrFormat)", tc.flags, f, err)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("flags %#x: error %q does not mention %q", tc.flags, err, tc.want)
+		}
+	}
+}
+
 // TestIncompleteDirectoryCannotMaterialize drops one directory entry at a
 // time from a valid file: Open still succeeds (the header is coherent), but
 // Template must refuse — a template classifies with all of its payloads or
 // with none of them.
 func TestIncompleteDirectoryCannotMaterialize(t *testing.T) {
-	valid := writeBytes(t, tinyState(), Options{})
+	valid := writeBytes(t, tinyState())
 	ref := openBytes(t, valid)
 	for _, drop := range ref.Sections() {
 		t.Run(drop.Name, func(t *testing.T) {
@@ -434,35 +480,35 @@ func TestIncompleteDirectoryCannotMaterialize(t *testing.T) {
 // TestWriterRejectsDefectiveStates pins the writer-side screens.
 func TestWriterRejectsDefectiveStates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, nil, Options{}); err == nil {
+	if err := Write(&buf, nil); err == nil {
 		t.Fatal("nil state accepted")
 	}
 	st := tinyState()
 	st.Instr[2] = LevelState{Present: true} // present without pipe/clf
-	if err := Write(&buf, st, Options{}); err == nil {
+	if err := Write(&buf, st); err == nil {
 		t.Fatal("present level without snapshots accepted")
 	}
 	st = tinyState()
 	st.Group.Pipe.PCA.Components.Rows = 7 // shape no longer matches the data
-	if err := Write(&buf, st, Options{}); err == nil {
+	if err := Write(&buf, st); err == nil {
 		t.Fatal("misshapen section accepted")
 	}
 	st = tinyState()
 	st.Rd.Pipe.Points = nil // not a fitted pipeline: nothing was selected
-	if err := Write(&buf, st, Options{}); err == nil {
+	if err := Write(&buf, st); err == nil {
 		t.Fatal("pipeline without selected points accepted")
 	}
 }
 
 // TestWriteFileReplacesAtomically pins the replace-while-open contract: a
-// handle opened before WriteFile rewrites the same path (here with the
-// quantized, shorter encoding) still materializes the file it opened,
-// while a fresh Open sees the new one. A failed write leaves the target
+// handle opened before WriteFile rewrites the same path (here with a
+// smaller state) still materializes the file it opened, while a fresh Open
+// sees the new one. A failed write leaves the target
 // untouched, and no attempt leaves a temporary file behind.
 func TestWriteFileReplacesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "demo.tpl")
-	if err := WriteFile(path, tinyState(), Options{}); err != nil {
+	if err := WriteFile(path, tinyState()); err != nil {
 		t.Fatal(err)
 	}
 	old, err := Open(path)
@@ -470,7 +516,7 @@ func TestWriteFileReplacesAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer old.Close()
-	if err := WriteFile(path, tinyState(), Options{Quantize: true}); err != nil {
+	if err := WriteFile(path, otherState()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := old.Template()
@@ -485,20 +531,20 @@ func TestWriteFileReplacesAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cur.Quantized() {
+	if cur.HeaderState().Instr[1].Present {
 		t.Fatal("fresh Open does not see the replacement")
 	}
 	cur.Close()
 
 	bad := tinyState()
 	bad.Instr[2] = LevelState{Present: true}
-	if err := WriteFile(path, bad, Options{}); err == nil {
+	if err := WriteFile(path, bad); err == nil {
 		t.Fatal("defective state written")
 	}
-	if err := WriteFile(filepath.Join(dir, "missing", "x.tpl"), tinyState(), Options{}); err == nil {
+	if err := WriteFile(filepath.Join(dir, "missing", "x.tpl"), tinyState()); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
-	if cur, err = Open(path); err != nil || !cur.Quantized() {
+	if cur, err = Open(path); err != nil || cur.HeaderState().Instr[1].Present {
 		t.Fatalf("failed write disturbed the target: %v", err)
 	}
 	cur.Close()
@@ -519,7 +565,7 @@ func TestWriteFileReplacesAtomically(t *testing.T) {
 // copies, never the caller's live state.
 func TestWriteDoesNotMutateState(t *testing.T) {
 	st := tinyState()
-	writeBytes(t, st, Options{})
+	writeBytes(t, st)
 	if st.Group.Pipe.PCA.Components.Data == nil {
 		t.Fatal("Write stripped the caller's pipeline state")
 	}
@@ -529,7 +575,7 @@ func TestWriteDoesNotMutateState(t *testing.T) {
 	if st.Group.Sparse.Re == nil {
 		t.Fatal("Write stripped the caller's kernel table")
 	}
-	if st.Group.Pipe.Points == nil || st.Group.Pipe.Pairs == nil || st.Group.Pipe.Z == nil ||
+	if st.Group.Pipe.Points == nil || st.Group.Pipe.Z == nil ||
 		st.Group.Pipe.PCA.Mean == nil || st.Group.Pipe.PCA.EigVals == nil {
 		t.Fatal("Write stripped the caller's aux-destined selection structure")
 	}
@@ -541,7 +587,7 @@ func TestWriteDoesNotMutateState(t *testing.T) {
 // TestClosedFileRefusesLoads pins the close semantics: loads and
 // materialization fail cleanly after Close, and Close is idempotent.
 func TestClosedFileRefusesLoads(t *testing.T) {
-	b := writeBytes(t, tinyState(), Options{})
+	b := writeBytes(t, tinyState())
 	f, err := OpenReaderAt(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		t.Fatal(err)
@@ -574,7 +620,7 @@ func TestClosedFileRefusesLoads(t *testing.T) {
 // questions, and a later read fails the same way.
 func TestTruncatedMappingFailsClosed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "demo.tpl")
-	if err := WriteFile(path, tinyState(), Options{}); err != nil {
+	if err := WriteFile(path, tinyState()); err != nil {
 		t.Fatal(err)
 	}
 	f, err := Open(path)
@@ -608,14 +654,14 @@ func TestTruncatedMappingFailsClosed(t *testing.T) {
 }
 
 // TestRewrittenFileFailsClosed overwrites an opened template in place —
-// same path, same inode, as cp does — with the quantized encoding of the
-// same state. The handle still reads at the old directory's offsets, so
+// same path, same inode, as cp does — with a different, smaller valid
+// state. The handle still reads at the old directory's offsets, so
 // materializing must fail closed with a SectionError wrapping ErrFormat
 // (a CRC mismatch or a short read), never return state decoded from the
 // new bytes.
 func TestRewrittenFileFailsClosed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "demo.tpl")
-	if err := WriteFile(path, tinyState(), Options{}); err != nil {
+	if err := WriteFile(path, tinyState()); err != nil {
 		t.Fatal(err)
 	}
 	f, err := Open(path)
@@ -623,7 +669,7 @@ func TestRewrittenFileFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := os.WriteFile(path, writeBytes(t, tinyState(), Options{Quantize: true}), 0o644); err != nil {
+	if err := os.WriteFile(path, writeBytes(t, otherState()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := met.sectionErrors.Value()
@@ -638,64 +684,58 @@ func TestRewrittenFileFailsClosed(t *testing.T) {
 }
 
 // TestLargeSectionsStreamConcurrently materializes a file whose kernel
-// sections span several read chunks and end mid-chunk, in both encodings,
-// from several goroutines at once on one opened file. Every load must
-// decode each value exactly (float64(float32(x)) when quantized), however
-// the chunk boundaries fall.
+// sections span several read chunks and end mid-chunk, from several
+// goroutines at once on one opened file. Every load must decode each value
+// bitwise, however the chunk boundaries fall.
 func TestLargeSectionsStreamConcurrently(t *testing.T) {
-	for _, opts := range []Options{{}, {Quantize: true}} {
-		st := tinyState()
-		want := make([]float64, 3*chunkLen/4+5) // 6 chunks + 40 bytes as float64, 3 + 20 as float32
-		for i := range want {
-			want[i] = float64(i+1) / 3
+	st := tinyState()
+	want := make([]float64, 3*chunkLen/4+5) // 6 chunks + 40 bytes
+	for i := range want {
+		want[i] = float64(i+1) / 3
+	}
+	st.Group.Sparse.Re = want
+	path := filepath.Join(t.TempDir(), "big.tpl")
+	if err := WriteFile(path, st); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(got []float64) error {
+		if len(got) != len(want) {
+			return fmt.Errorf("decoded %d values, want %d", len(got), len(want))
 		}
-		st.Group.Sparse.Re = want
-		path := filepath.Join(t.TempDir(), "big.tpl")
-		if err := WriteFile(path, st, opts); err != nil {
-			t.Fatal(err)
-		}
-		f, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check := func(got []float64) error {
-			if len(got) != len(want) {
-				return fmt.Errorf("quantize=%v: decoded %d values, want %d", opts.Quantize, len(got), len(want))
+		for i, v := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(v) {
+				return fmt.Errorf("value %d = %v, want bitwise %v", i, got[i], v)
 			}
-			for i, v := range want {
-				if opts.Quantize {
-					v = float64(float32(v))
-				}
-				if math.Float64bits(got[i]) != math.Float64bits(v) {
-					return fmt.Errorf("quantize=%v: value %d = %v, want bitwise %v", opts.Quantize, i, got[i], v)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mst, err := f.Template()
+			if err == nil {
+				err = check(mst.Group.Sparse.Re)
+			}
+			if err == nil {
+				var got []float64
+				if got, err = f.LoadSection("group/cwt.re"); err == nil {
+					err = check(got)
 				}
 			}
-			return nil
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mst, err := f.Template()
-				if err == nil {
-					err = check(mst.Group.Sparse.Re)
-				}
-				if err == nil {
-					var got []float64
-					if got, err = f.LoadSection("group/cwt.re"); err == nil {
-						err = check(got)
-					}
-				}
-				if err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -715,7 +755,7 @@ func (r eofAtEnd) ReadAt(p []byte, off int64) (int, error) {
 // success even when the reader reports io.EOF with it: the last section of
 // a file ends at the end of the input.
 func TestFullReadAtEOFSucceeds(t *testing.T) {
-	b := writeBytes(t, tinyState(), Options{})
+	b := writeBytes(t, tinyState())
 	f, err := OpenReaderAt(eofAtEnd{bytes.NewReader(b)}, int64(len(b)))
 	if err != nil {
 		t.Fatal(err)

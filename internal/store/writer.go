@@ -13,15 +13,13 @@ import (
 	"strings"
 )
 
-// Options tunes Write.
-type Options struct {
-	// Quantize encodes every matrix section as float32 — half the bytes
-	// (and half the resident set once materialized) for a bounded relative
-	// rounding of 2⁻²⁴ per value. The e2e accuracy gate runs the full
-	// held-out campaign against quantized templates to prove the per-level
-	// success-rate floors hold.
-	Quantize bool
-}
+// Options once tuned Write; the one template encoding leaves nothing to
+// tune.
+//
+// Deprecated: it has no fields and nothing reads it. It remains only so
+// callers that still pass store.Options{} to core.Disassembler.SaveStore
+// compile.
+type Options struct{}
 
 // section is a directory entry still carrying its payload, writer-side.
 // Exactly one of data (matrix sections) and raw (aux blobs) is set.
@@ -95,16 +93,14 @@ func collect(st *TemplateState) (*TemplateState, []section, error) {
 			}
 		}
 		aux := levelAux{
-			Points:  r.lvl.Pipe.Points,
-			Pairs:   r.lvl.Pipe.Pairs,
-			PairIdx: r.lvl.Pipe.PairIdx,
-			Z:       r.lvl.Pipe.Z,
-			Clf:     r.lvl.Clf.Strip(),
+			Points: r.lvl.Pipe.Points,
+			Z:      r.lvl.Pipe.Z,
+			Clf:    r.lvl.Clf.Strip(),
 		}
 		// The stripped header copy keeps only shape; the bulky structure
 		// moves into the aux blob. Strip returned fresh struct copies, so
 		// nilling fields here never touches the caller's live state.
-		d.Pipe.Points, d.Pipe.Pairs, d.Pipe.PairIdx, d.Pipe.Z = nil, nil, nil, nil
+		d.Pipe.Points, d.Pipe.Z = nil, nil
 		if p := r.lvl.Pipe.PCA; p != nil {
 			aux.PCAMean, aux.PCAEig = p.Mean, p.EigVals
 			if d.Pipe.PCA != nil {
@@ -133,15 +129,8 @@ func collect(st *TemplateState) (*TemplateState, []section, error) {
 	return out, secs, nil
 }
 
-// encodeFloats packs values with the given encoding, little-endian.
-func encodeFloats(data []float64, enc Encoding) []byte {
-	if enc == EncFloat32 {
-		b := make([]byte, 4*len(data))
-		for i, v := range data {
-			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(v)))
-		}
-		return b
-	}
+// encodeFloats packs values as little-endian float64s.
+func encodeFloats(data []float64) []byte {
 	b := make([]byte, 8*len(data))
 	for i, v := range data {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
@@ -151,7 +140,7 @@ func encodeFloats(data []float64, enc Encoding) []byte {
 
 // Write emits st as a schema-v4 template file. The input state is not
 // mutated (its payload slices typically alias a live Disassembler).
-func Write(w io.Writer, st *TemplateState, opts Options) error {
+func Write(w io.Writer, st *TemplateState) error {
 	stripped, secs, err := collect(st)
 	if err != nil {
 		return err
@@ -159,20 +148,13 @@ func Write(w io.Writer, st *TemplateState, opts Options) error {
 	if testShuffleSections != nil {
 		testShuffleSections(secs)
 	}
-	enc := EncFloat64
-	if opts.Quantize {
-		enc = EncFloat32
-	}
 	hdr := fileHeader{Schema: Version, State: stripped}
 	blobs := make([][]byte, len(secs))
 	var off int64
 	for i := range secs {
-		var b []byte
-		if secs[i].info.Encoding == EncRaw {
-			b = secs[i].raw // aux blobs are exempt from quantization
-		} else {
-			b = encodeFloats(secs[i].data, enc)
-			secs[i].info.Encoding = enc
+		b := secs[i].raw
+		if secs[i].info.Encoding != EncRaw {
+			b = encodeFloats(secs[i].data)
 		}
 		secs[i].info.Offset = off
 		secs[i].info.CRC = crc32.Checksum(b, castagnoli)
@@ -189,12 +171,7 @@ func Write(w io.Writer, st *TemplateState, opts Options) error {
 	}
 	var pre [preludeLen]byte
 	copy(pre[0:4], Magic)
-	binary.LittleEndian.PutUint32(pre[4:8], Version)
-	var flags uint32
-	if opts.Quantize {
-		flags |= flagQuantized
-	}
-	binary.LittleEndian.PutUint32(pre[8:12], flags)
+	binary.LittleEndian.PutUint32(pre[4:8], Version) // pre[8:12), the flags, stays 0
 	binary.LittleEndian.PutUint32(pre[12:16], uint32(hbuf.Len()))
 	binary.LittleEndian.PutUint32(pre[16:20], crc32.Checksum(hbuf.Bytes(), castagnoli))
 	if _, err := w.Write(pre[:]); err != nil {
@@ -218,7 +195,7 @@ func Write(w io.Writer, st *TemplateState, opts Options) error {
 // reading its intact inode, where rewriting in place would fail that
 // reader's unread sections (a CRC mismatch or a short read). On any error
 // the temporary file is removed and path is left as it was.
-func WriteFile(path string, st *TemplateState, opts Options) (err error) {
+func WriteFile(path string, st *TemplateState) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
@@ -232,7 +209,7 @@ func WriteFile(path string, st *TemplateState, opts Options) (err error) {
 	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	if err = Write(f, st, opts); err != nil {
+	if err = Write(f, st); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {

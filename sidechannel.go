@@ -33,7 +33,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/parallel"
 	"repro/internal/power"
-	"repro/internal/store"
 )
 
 // Core disassembler types.
@@ -219,7 +218,7 @@ const (
 // SaveTemplates persists a trained disassembler's template set to w as a
 // v4 template store file. Profiling is the expensive step; saved templates
 // reload instantly with LoadTemplates.
-func SaveTemplates(d *Disassembler, w io.Writer) error { return d.SaveStore(w, store.Options{}) }
+func SaveTemplates(d *Disassembler, w io.Writer) error { return d.SaveStore(w) }
 
 // LoadTemplates restores a disassembler previously written by SaveTemplates.
 // Gob files written by older builds are refused with ErrTemplateFormat.

@@ -41,7 +41,7 @@ func benchFitObs(b *testing.B, enabled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := features.FitPipelineCtx(ctx, traces, labels, programs, 2, cfg); err != nil {
+		if _, _, err := features.FitPipelineCtx(ctx, traces, labels, programs, 2, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/avr"
 	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/features"
@@ -85,7 +86,7 @@ func benchPipeline(b *testing.B) (*features.Pipeline, [][]float64) {
 	}
 	cfg := features.CSAPipelineConfig()
 	cfg.NumComponents = 8
-	pl, err := features.FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := features.FitPipeline(traces, labels, programs, 2, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func benchFit(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := features.FitPipeline(traces, labels, programs, 2, cfg); err != nil {
+		if _, _, err := features.FitPipeline(traces, labels, programs, 2, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,6 +164,26 @@ func benchFit(b *testing.B, workers int) {
 
 func BenchmarkPipelineFitSerial(b *testing.B)   { benchFit(b, 1) }
 func BenchmarkPipelineFitParallel(b *testing.B) { benchFit(b, 0) }
+
+// BenchmarkPipelineTrainSubset trains the register template scdisbench's
+// bulk-binary workload serves, at that workload's campaign sizes: ADD, ADC,
+// EOR and MOV with 4 programs × 12 traces per class for the group and
+// instruction levels and 3 × 6 for Rd and Rr. It is the profiling stage's
+// whole cost — acquisition, one CWT per training trace, KL selection, PCA
+// and classifier fits for every level.
+func BenchmarkPipelineTrainSubset(b *testing.B) {
+	cfg := core.DefaultTrainerConfig()
+	cfg.Programs, cfg.TracesPerProgram = 4, 12
+	cfg.RegisterPrograms, cfg.RegisterTracesPerProgram = 3, 6
+	classes := []avr.Class{avr.OpADD, avr.OpADC, avr.OpEOR, avr.OpMOV}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.TrainSubset(cfg, classes, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // benchDisassemble measures end-to-end trace→instruction throughput.
 func benchDisassemble(b *testing.B, workers int) {

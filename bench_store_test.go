@@ -28,11 +28,22 @@ import (
 )
 
 // storeBench lays out one directory of 16 copies of a serving-representative
-// template once per process.
+// template once per process. dir is recorded as soon as it exists, so
+// TestMain removes it even when a write into it failed.
 var storeBench struct {
 	once sync.Once
 	dir  string
 	err  error
+}
+
+// TestMain runs the package's tests and benchmarks, then removes the
+// cold-start fixture directory (about 41 MB) if any of them laid it out.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if storeBench.dir != "" {
+		os.RemoveAll(storeBench.dir)
+	}
+	os.Exit(code)
 }
 
 const coldStartTemplates = 16
@@ -65,6 +76,7 @@ func storeBenchDir(b *testing.B) string {
 			storeBench.err = err
 			return
 		}
+		storeBench.dir = dir
 		for i := 0; i < coldStartTemplates; i++ {
 			name := fmt.Sprintf("t%02d%s", i, serve.TemplateExt)
 			if err := d.SaveStoreFile(filepath.Join(dir, name)); err != nil {
@@ -72,7 +84,6 @@ func storeBenchDir(b *testing.B) string {
 				return
 			}
 		}
-		storeBench.dir = dir
 	})
 	if storeBench.err != nil {
 		b.Fatal(storeBench.err)

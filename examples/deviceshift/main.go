@@ -38,11 +38,7 @@ func main() {
 			pc = features.DefaultPipelineConfig()
 		}
 		pc.NumComponents = 3
-		pipe, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, 2, pc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		X, err := pipe.ExtractAll(train.Traces)
+		pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, 2, pc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -76,6 +77,33 @@ func TestClassifyOneTransformPerTrace(t *testing.T) {
 	}
 	if got := dsp.SparseTransformCount() - sparseBefore; got != uint64(2*len(traces)) {
 		t.Fatalf("Disassemble of %d traces ran %d sparse evaluations, want %d", len(traces), got, 2*len(traces))
+	}
+}
+
+// TestTrainOneTransformPerTrace pins the cost invariant of training: every
+// level runs exactly one full CWT per training trace that survives
+// ingestion — FitPipeline's statistics pass — and its classifier trains on
+// the features FitPipeline returns instead of transforming the set again.
+func TestTrainOneTransformPerTrace(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Programs, cfg.TracesPerProgram = 2, 4
+	cfg.RegisterPrograms, cfg.RegisterTracesPerProgram = 2, 2
+	defer obs.SetDefault(nil)
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	full := reg.Counter("dsp.cwt.transforms")
+
+	before := full.Value()
+	_, rep, err := TrainSubsetReportCtx(context.Background(), cfg, []avr.Class{avr.OpADD, avr.OpEOR}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := rep.Validation.Checked - rep.Validation.Rejected()
+	if trained == 0 {
+		t.Fatal("no training trace survived ingestion")
+	}
+	if got := full.Value() - before; got != int64(trained) {
+		t.Fatalf("training on %d traces (summed over %d levels) ran %d full CWTs, want one per trace", trained, len(rep.LevelConfusion), got)
 	}
 }
 

@@ -235,10 +235,12 @@ type levelResult struct {
 }
 
 // fitLevel fits one pipeline + classifier pair on a dataset and reports the
-// training-set accuracy and confusion counts. Ingestion first sanitizes the
-// dataset — defective traces (non-finite, constant, wrong length against the
-// configured TraceLen) are rejected per-trace and counted in the returned
-// report, so a few bad captures never abort or poison a level. The PCA
+// training-set accuracy and confusion counts. The classifier trains on the
+// features FitPipeline hands back, so each training trace costs one CWT.
+// Ingestion first sanitizes the dataset — defective traces (non-finite,
+// constant, wrong length against the configured TraceLen) are rejected
+// per-trace and counted in the returned report, so a few bad captures
+// never abort or poison a level. The PCA
 // dimensionality is clamped below the smallest per-class sample count so the
 // QDA/LDA covariance estimates stay well conditioned even at reduced trace
 // counts. name labels the level's stage span ("core.level.<name>").
@@ -266,13 +268,7 @@ func fitLevel(ctx context.Context, name string, ds *power.Dataset, nClasses int,
 	if maxDim := minCount/2 + 1; pcfg.NumComponents > maxDim {
 		pcfg.NumComponents = maxDim
 	}
-	pipe, err := features.FitPipelineCtx(ctx, ds.Traces, ds.Labels, ds.Programs, nClasses, pcfg)
-	if err != nil {
-		return res, err
-	}
-	extCtx, extSpan := obs.Span(ctx, "core.extract")
-	X, err := pipe.ExtractAllCtx(extCtx, ds.Traces)
-	extSpan.End()
+	pipe, X, err := features.FitPipelineCtx(ctx, ds.Traces, ds.Labels, ds.Programs, nClasses, pcfg)
 	if err != nil {
 		return res, err
 	}

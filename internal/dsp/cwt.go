@@ -124,14 +124,18 @@ type cwtPlan struct {
 // analytic Morlet wavelet over a fixed bank of scales. The result is the
 // coefficient magnitude |W(j, k)| for scale index j and time index k — a
 // Scales×len(x) matrix, matching the paper's 50×315 time–frequency plane.
+// One transform is one forward FFT of the padded signal plus one inverse
+// FFT per scale, each run from its size's radix-2 plan (bit-reversal swaps
+// and stage twiddles built once per size).
 //
 // Concurrency: a CWT is safe for concurrent use by multiple goroutines. The
-// scale bank and kernels are immutable after NewCWT; the per-length FFT plan
-// cache is guarded by an RWMutex (plans are built once per distinct signal
-// length and then only read); all per-call scratch lives on the stack or in
-// an internal buffer pool. TransformBatch and TransformFlatBatch additionally
-// fan the work out over the package-wide parallel.Workers() pool, over both
-// traces and scales.
+// scale bank and kernels are immutable after NewCWT; the per-length
+// kernel-spectrum cache is guarded by an RWMutex (spectra are built once per
+// distinct signal length and then only read). A transform leases its two
+// complex work buffers from one package-level pool shared by every CWT and
+// returns them before it returns, so a parked buffer keeps no CWT reachable.
+// TransformBatch and TransformFlatBatch run one task per trace on the
+// package-wide parallel.Workers() pool.
 type CWT struct {
 	bank    BankConfig
 	scales  []float64
@@ -141,9 +145,12 @@ type CWT struct {
 
 	planMu sync.RWMutex
 	plans  map[int]*cwtPlan // keyed by padded length
-
-	scratch sync.Pool // *[]complex128 work buffers, cap >= padded length
 }
+
+// scratch pools the complex work buffers of every CWT (*[]complex128, any
+// capacity). It is package-level so that a buffer parked in it, or in its
+// victim cache across a GC, pins no CWT and no kernel-spectrum plan.
+var scratch sync.Pool
 
 // NewCWT builds a transform with nScales scales geometrically spaced between
 // minScale and maxScale (in samples) at the default ω0; see NewCWTBank for
@@ -221,9 +228,9 @@ func (c *CWT) planFor(n int) *cwtPlan {
 	return p
 }
 
-// getBuf leases an m-element complex scratch buffer from the pool.
-func (c *CWT) getBuf(m int) []complex128 {
-	if v := c.scratch.Get(); v != nil {
+// getBuf leases a zeroed m-element complex scratch buffer from the pool.
+func getBuf(m int) []complex128 {
+	if v := scratch.Get(); v != nil {
 		b := *(v.(*[]complex128))
 		if cap(b) >= m {
 			met().poolReuses.Inc()
@@ -239,8 +246,8 @@ func (c *CWT) getBuf(m int) []complex128 {
 }
 
 // putBuf returns a scratch buffer to the pool.
-func (c *CWT) putBuf(b []complex128) {
-	c.scratch.Put(&b)
+func putBuf(b []complex128) {
+	scratch.Put(&b)
 }
 
 // NumScales returns the number of scales in the bank.
@@ -274,8 +281,8 @@ func morletKernel(s, omega0 float64) []complex128 {
 
 // forwardFFT returns the padded spectrum of x as a pooled buffer; the caller
 // must release it with putBuf.
-func (c *CWT) forwardFFT(x []float64, p *cwtPlan) []complex128 {
-	fx := c.getBuf(p.m)
+func forwardFFT(x []float64, p *cwtPlan) []complex128 {
+	fx := getBuf(p.m)
 	for i, v := range x {
 		fx[i] = complex(v, 0)
 	}
@@ -336,28 +343,29 @@ func (c *CWT) TransformFlat(x []float64) []float64 {
 func (c *CWT) transformInto(x []float64, flat []float64) {
 	n := len(x)
 	p := c.planFor(n)
-	fx := c.forwardFFT(x, p)
-	prod := c.getBuf(p.m)
+	fx := forwardFFT(x, p)
+	prod := getBuf(p.m)
 	for j := range c.kernels {
 		c.row(fx, p, j, n, flat[j*n:(j+1)*n], prod)
 	}
-	c.putBuf(prod)
-	c.putBuf(fx)
+	putBuf(prod)
+	putBuf(fx)
 	transformCount.Add(1)
 }
 
-// TransformFlatBatch computes the flattened scalogram of every trace,
-// parallelized over both traces and scales on the parallel.Workers() pool.
-// The result is index-aligned with xs and identical to calling TransformFlat
-// per trace. All traces must share one length.
+// TransformFlatBatch computes the flattened scalogram of every trace, one
+// task per trace on the parallel.Workers() pool. The result is index-aligned
+// with xs and identical to calling TransformFlat per trace. All traces must
+// share one length.
 func (c *CWT) TransformFlatBatch(xs [][]float64) ([][]float64, error) {
 	return c.TransformFlatBatchCtx(context.Background(), xs)
 }
 
 // TransformFlatBatchCtx is TransformFlatBatch with cooperative cancellation:
-// once ctx is cancelled no new (trace) or (trace, scale) task starts and the
-// call returns ctx.Err(). Cancellation latency is bounded by one FFT /
-// convolution row, not by the batch size.
+// once ctx is cancelled no new trace starts and the call returns ctx.Err().
+// Cancellation latency is bounded by one trace's transform, not by the
+// batch size. Each task leases and returns its own scratch, so the batch
+// holds no buffer beyond the traces in flight.
 func (c *CWT) TransformFlatBatchCtx(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	out := make([][]float64, len(xs))
 	if len(xs) == 0 {
@@ -370,41 +378,12 @@ func (c *CWT) TransformFlatBatchCtx(ctx context.Context, xs [][]float64) ([][]fl
 		if len(x) != n {
 			return nil, fmt.Errorf("dsp: batch trace %d has length %d, want %d", i, len(x), n)
 		}
-		out[i] = make([]float64, len(c.scales)*n)
-	}
-	if n == 0 {
-		return out, nil
-	}
-	p := c.planFor(n)
-	// Phase 1: one forward FFT per trace, parallel over traces.
-	fxs := make([][]complex128, len(xs))
-	release := func() {
-		for _, fx := range fxs {
-			if fx != nil {
-				c.putBuf(fx)
-			}
-		}
 	}
 	if err := parallel.ForCtx(ctx, len(xs), func(i int) {
-		fxs[i] = c.forwardFFT(xs[i], p)
+		out[i] = c.TransformFlat(xs[i])
 	}); err != nil {
-		release()
 		return nil, err
 	}
-	// Phase 2: one task per (trace, scale) pair — fine enough granularity to
-	// keep every worker busy whether the batch is wide or the bank is deep.
-	nScales := len(c.scales)
-	if err := parallel.ForCtx(ctx, len(xs)*nScales, func(t int) {
-		i, j := t/nScales, t%nScales
-		prod := c.getBuf(p.m)
-		c.row(fxs[i], p, j, n, out[i][j*n:(j+1)*n], prod)
-		c.putBuf(prod)
-	}); err != nil {
-		release()
-		return nil, err
-	}
-	release()
-	transformCount.Add(int64(len(xs)))
 	return out, nil
 }
 

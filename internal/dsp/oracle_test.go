@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"repro/internal/parallel"
@@ -15,6 +19,70 @@ import (
 // same truncated Morlet convolution by the O(n·k) time-domain definition and
 // the two must agree to testkit.CWTTol (1e-9 relative+absolute — FFT roundoff
 // at these lengths is ~1e-13, so any algorithmic drift fails loudly).
+
+// radix2Recurrence is the unplanned radix-2 FFT radix2 replaced: it derives
+// the bit-reversal permutation per call and carries each stage's twiddle as
+// the running product w *= wstep. It is kept as radix2's bitwise oracle.
+func radix2Recurrence(y []complex128, inverse bool) {
+	n := len(y)
+	if n == 1 {
+		return
+	}
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			y[i], y[j] = y[j], y[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		wstep := cmplx.Exp(complex(0, step))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := y[start+k]
+				b := y[start+k+half] * w
+				y[start+k] = a + b
+				y[start+k+half] = a - b
+				w *= wstep
+			}
+		}
+	}
+}
+
+// TestRadix2MatchesRecurrence pins the planned radix2 bitwise to the
+// recurrence loop for every power of two up to 4096, forward and inverse,
+// on a dense input and on a zero-padded one (the CWT's layout, where the
+// sign of a zero product is exercised).
+func TestRadix2MatchesRecurrence(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 4096; n <<= 1 {
+		for _, fill := range []int{n, (n + 1) / 2} {
+			x := make([]complex128, n)
+			for i := 0; i < fill; i++ {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			for _, inverse := range []bool{false, true} {
+				got := append([]complex128(nil), x...)
+				want := append([]complex128(nil), x...)
+				radix2(got, inverse)
+				radix2Recurrence(want, inverse)
+				for i := range got {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("n=%d fill=%d inverse=%v: bin %d = %v, recurrence %v", n, fill, inverse, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
 
 // scalesOf snapshots the transform's scale bank so the oracle evaluates the
 // identical scales.
@@ -85,29 +153,37 @@ func TestTransformFlatMatchesTransform(t *testing.T) {
 // TestTransformBatchDeterministicAcrossWorkers asserts the documented
 // contract that batch results are bitwise independent of the worker count:
 // a 1-worker run, a many-worker run, and per-trace serial calls all agree
-// exactly.
+// exactly, on a small bank and on the paper's 50×315 production bank.
 func TestTransformBatchDeterministicAcrossWorkers(t *testing.T) {
 	oldWorkers := parallel.Workers()
 	defer parallel.SetWorkers(oldWorkers)
 
-	c, err := NewCWT(8, 2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := testkit.NewG(13)
-	xs := g.Traces(9, 96)
-
-	serial := make([][]float64, len(xs))
-	for i, x := range xs {
-		serial[i] = c.TransformFlat(x)
-	}
-	for _, workers := range []int{1, 4} {
-		parallel.SetWorkers(workers)
-		got, err := c.TransformFlatBatch(xs)
+	for _, tc := range []struct {
+		bank          BankConfig
+		traces, width int
+	}{
+		{BankConfig{NumScales: 8, MinScale: 2, MaxScale: 16}, 9, 96},
+		{DefaultBank(), 6, 315},
+	} {
+		c, err := NewCWTBank(tc.bank)
 		if err != nil {
-			t.Fatalf("TransformFlatBatch with %d workers: %v", workers, err)
+			t.Fatal(err)
 		}
-		testkit.ExactEqual2D(t, got, serial, fmt.Sprintf("batch with %d workers vs serial", workers))
+		g := testkit.NewG(13)
+		xs := g.Traces(tc.traces, tc.width)
+
+		serial := make([][]float64, len(xs))
+		for i, x := range xs {
+			serial[i] = c.TransformFlat(x)
+		}
+		for _, workers := range []int{1, 4} {
+			parallel.SetWorkers(workers)
+			got, err := c.TransformFlatBatch(xs)
+			if err != nil {
+				t.Fatalf("TransformFlatBatch with %d workers: %v", workers, err)
+			}
+			testkit.ExactEqual2D(t, got, serial, fmt.Sprintf("%d scales × %d: batch with %d workers vs serial", tc.bank.NumScales, tc.width, workers))
+		}
 	}
 }
 

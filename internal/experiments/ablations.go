@@ -52,11 +52,7 @@ func AblationNoKLSelection(sc Scale) (*AblationResult, error) {
 	// Arm A: KL-selected pipeline.
 	pc := features.CSAPipelineConfig()
 	pc.NumComponents = 20
-	pipe, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(classes), pc)
-	if err != nil {
-		return nil, err
-	}
-	X, err := pipe.ExtractAll(train.Traces)
+	pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(classes), pc)
 	if err != nil {
 		return nil, err
 	}
@@ -198,11 +194,7 @@ func AblationFlatVsHierarchical(sc Scale) (*AblationResult, error) {
 	}
 	trainG := relabel(train, func(l int) (int, bool) { return groupOf[l], true })
 	pcG := clampPCs(pcFlat, trainG)
-	pipeG, err := features.FitPipeline(trainG.Traces, trainG.Labels, trainG.Programs, len(groups), pcG)
-	if err != nil {
-		return nil, err
-	}
-	Xg, err := pipeG.ExtractAll(trainG.Traces)
+	pipeG, Xg, err := features.FitPipeline(trainG.Traces, trainG.Labels, trainG.Programs, len(groups), pcG)
 	if err != nil {
 		return nil, err
 	}
@@ -223,11 +215,7 @@ func AblationFlatVsHierarchical(sc Scale) (*AblationResult, error) {
 			return withinOf[l], true
 		})
 		pcL := clampPCs(pcFlat, sub)
-		pipeL, err := features.FitPipeline(sub.Traces, sub.Labels, sub.Programs, len(perGroupClasses[gi]), pcL)
-		if err != nil {
-			return nil, err
-		}
-		Xl, err := pipeL.ExtractAll(sub.Traces)
+		pipeL, Xl, err := features.FitPipeline(sub.Traces, sub.Labels, sub.Programs, len(perGroupClasses[gi]), pcL)
 		if err != nil {
 			return nil, err
 		}

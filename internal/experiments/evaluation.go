@@ -65,11 +65,7 @@ func sweepPCs(title string, ds *power.Dataset, nClasses int, pcs []int, sc Scale
 	for _, k := range pcs {
 		pc := features.CSAPipelineConfig()
 		pc.NumComponents = k
-		pipe, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, nClasses, pc)
-		if err != nil {
-			return nil, err
-		}
-		X, err := pipe.ExtractAll(train.Traces)
+		pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, nClasses, pc)
 		if err != nil {
 			return nil, err
 		}
@@ -174,11 +170,7 @@ func Fig6(sc Scale, vars []int) (*Fig6Result, error) {
 		// General method: unified DNVP + PCA down to v components.
 		pcGen := features.CSAPipelineConfig()
 		pcGen.NumComponents = v
-		pipeGen, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(g1), pcGen)
-		if err != nil {
-			return nil, err
-		}
-		X, err := pipeGen.ExtractAll(train.Traces)
+		pipeGen, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(g1), pcGen)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +182,7 @@ func Fig6(sc Scale, vars []int) (*Fig6Result, error) {
 		pcVote := features.CSAPipelineConfig()
 		pcVote.TopPerPair = v
 		pcVote.NumComponents = v
-		pipeVote, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(g1), pcVote)
+		pipeVote, _, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(g1), pcVote)
 		if err != nil {
 			return nil, err
 		}
@@ -446,11 +438,7 @@ func Table4(sc Scale) (*Table4Result, error) {
 	res := &Table4Result{Rows: map[string][]float64{}}
 	for _, name := range []string{"QDA", "SVM"} {
 		pc := csaPipeline()
-		pipe, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, 2, pc)
-		if err != nil {
-			return nil, err
-		}
-		X, err := pipe.ExtractAll(train.Traces)
+		pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, 2, pc)
 		if err != nil {
 			return nil, err
 		}

@@ -78,11 +78,7 @@ func classifierSet() []ml.Classifier {
 
 // fitEval fits a pipeline + classifier on train and evaluates on test.
 func fitEval(train, test *power.Dataset, nClasses int, pc features.PipelineConfig, clf ml.Classifier) (trainAcc, testAcc float64, err error) {
-	pipe, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, nClasses, pc)
-	if err != nil {
-		return 0, 0, err
-	}
-	X, err := pipe.ExtractAll(train.Traces)
+	pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, nClasses, pc)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -244,7 +240,7 @@ func Fig2(sc Scale) (*Fig2Result, error) {
 		return nil, err
 	}
 	pc := features.CSAPipelineConfig()
-	pipe, err := features.FitPipeline(dsG1.Traces, dsG1.Labels, dsG1.Programs, len(g1), pc)
+	pipe, _, err := features.FitPipeline(dsG1.Traces, dsG1.Labels, dsG1.Programs, len(g1), pc)
 	if err != nil {
 		return nil, err
 	}

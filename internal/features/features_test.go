@@ -295,7 +295,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 20, 3, false)
 	cfg := DefaultPipelineConfig()
 	cfg.NumComponents = 3
-	pl, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,17 +359,17 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestPipelineValidation(t *testing.T) {
 	cfg := DefaultPipelineConfig()
-	if _, err := FitPipeline(nil, nil, nil, 2, cfg); err == nil {
+	if _, _, err := FitPipeline(nil, nil, nil, 2, cfg); err == nil {
 		t.Fatal("want error for empty input")
 	}
 	tr := [][]float64{make([]float64, 50), make([]float64, 50)}
-	if _, err := FitPipeline(tr, []int{0, 1}, []int{0}, 2, cfg); err == nil {
+	if _, _, err := FitPipeline(tr, []int{0, 1}, []int{0}, 2, cfg); err == nil {
 		t.Fatal("want error for length mismatch")
 	}
-	if _, err := FitPipeline(tr, []int{0, 5}, []int{0, 0}, 2, cfg); err == nil {
+	if _, _, err := FitPipeline(tr, []int{0, 5}, []int{0, 0}, 2, cfg); err == nil {
 		t.Fatal("want error for out-of-range label")
 	}
-	if _, err := FitPipeline(tr, []int{0, 0}, []int{0, 0}, 1, cfg); err == nil {
+	if _, _, err := FitPipeline(tr, []int{0, 0}, []int{0, 0}, 1, cfg); err == nil {
 		t.Fatal("want error for single class")
 	}
 }
@@ -381,7 +381,7 @@ func TestCSAPipelineCancelsOffsetShift(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 20, 4, true)
 	cfg := CSAPipelineConfig()
 	cfg.NumComponents = 2
-	pl, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestFitPipelineCtxCancellation(t *testing.T) {
 	cfg := DefaultPipelineConfig()
 	cfg.NumComponents = 3
 	start := time.Now()
-	_, err := FitPipelineCtx(ctx, traces, labels, programs, 2, cfg)
+	_, _, err := FitPipelineCtx(ctx, traces, labels, programs, 2, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -538,7 +538,7 @@ func TestFitPipelineCtxCancellation(t *testing.T) {
 	}
 
 	// And a live context still fits.
-	pl, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil || pl == nil {
 		t.Fatalf("live-context fit failed: %v", err)
 	}
@@ -547,7 +547,7 @@ func TestFitPipelineCtxCancellation(t *testing.T) {
 func TestExtractAllCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	traces, labels, programs := synthDataset(rng, 10, 2, false)
-	pl, err := FitPipeline(traces, labels, programs, 2, DefaultPipelineConfig())
+	pl, _, err := FitPipeline(traces, labels, programs, 2, DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package features
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/testkit"
 )
 
 // fitBoth fits the same dataset at two worker counts and returns both
@@ -14,7 +16,7 @@ func fitAt(t *testing.T, workers int, cfg PipelineConfig) (*Pipeline, [][]float6
 	rng := rand.New(rand.NewSource(11))
 	traces, labels, programs := synthDataset(rng, 6, 3, true)
 	parallel.SetWorkers(workers)
-	pl, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +100,41 @@ func TestFitPipelineCacheEquivalence(t *testing.T) {
 		for j := range cf[i] {
 			if cf[i][j] != uf[i][j] {
 				t.Fatalf("cached/uncached feature [%d][%d] differs: %v vs %v", i, j, cf[i][j], uf[i][j])
+			}
+		}
+	}
+}
+
+// TestFitPipelineFeaturesMatchExtractAll pins the classifier inputs
+// FitPipeline hands back to ExtractAll over the same training traces,
+// bitwise, with the scalogram cache on and forced off, PerTraceNorm on and
+// off, and Standardize on and off: training on them must be training on
+// what a second CWT pass would compute.
+func TestFitPipelineFeaturesMatchExtractAll(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	defer func(v int) { MaxScalogramCacheBytes = v }(MaxScalogramCacheBytes)
+	parallel.SetWorkers(4)
+	rng := rand.New(rand.NewSource(23))
+	traces, labels, programs := synthDataset(rng, 6, 3, true)
+	for _, cache := range []bool{true, false} {
+		MaxScalogramCacheBytes = 0
+		if cache {
+			MaxScalogramCacheBytes = 512 << 20
+		}
+		for _, norm := range []bool{false, true} {
+			for _, standardize := range []bool{false, true} {
+				cfg := DefaultPipelineConfig()
+				cfg.NumComponents = 4
+				cfg.PerTraceNorm, cfg.Standardize = norm, standardize
+				pl, X, err := FitPipeline(traces, labels, programs, 2, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := pl.ExtractAll(traces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testkit.ExactEqual2D(t, X, want, fmt.Sprintf("cache=%v norm=%v standardize=%v: FitPipeline features vs ExtractAll", cache, norm, standardize))
 			}
 		}
 	}

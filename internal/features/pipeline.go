@@ -178,15 +178,18 @@ type Pipeline struct {
 	MaskSkipped int
 }
 
-// FitPipeline learns the full extraction chain from labeled traces.
-// programs gives the program-file ID of each trace (used for the
-// within-class not-varying masks); labels must be 0..nClasses-1.
+// FitPipeline learns the full extraction chain from labeled traces and
+// returns it with the classifier inputs of those same traces: X[i] is
+// bitwise what ExtractAll(traces)[i] computes, so a classifier trains on X
+// without transforming its training set again. programs gives the
+// program-file ID of each trace (used for the within-class not-varying
+// masks); labels must be 0..nClasses-1.
 //
 // Each training trace is transformed exactly once: the scalogram feeds the
 // statistics pass and is cached (bounded by MaxScalogramCacheBytes) for the
 // feature pass. The CWT, the O(nClasses²) pairwise DNVP selection and the
 // feature pass all run on the parallel.Workers() pool.
-func FitPipeline(traces [][]float64, labels, programs []int, nClasses int, cfg PipelineConfig) (*Pipeline, error) {
+func FitPipeline(traces [][]float64, labels, programs []int, nClasses int, cfg PipelineConfig) (*Pipeline, [][]float64, error) {
 	return FitPipelineCtx(context.Background(), traces, labels, programs, nClasses, cfg)
 }
 
@@ -196,25 +199,25 @@ func FitPipeline(traces [][]float64, labels, programs []int, nClasses int, cfg P
 // ctx.Err() (workers already running finish their current trace first). The
 // fitted result is unaffected by cancellation timing — a non-nil Pipeline is
 // only returned when every stage completed.
-func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []int, nClasses int, cfg PipelineConfig) (*Pipeline, error) {
+func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []int, nClasses int, cfg PipelineConfig) (*Pipeline, [][]float64, error) {
 	if len(traces) == 0 || len(traces) != len(labels) || len(traces) != len(programs) {
-		return nil, errors.New("features: FitPipeline needs equal-length traces/labels/programs")
+		return nil, nil, errors.New("features: FitPipeline needs equal-length traces/labels/programs")
 	}
 	if nClasses < 2 {
-		return nil, fmt.Errorf("features: FitPipeline needs >= 2 classes, got %d", nClasses)
+		return nil, nil, fmt.Errorf("features: FitPipeline needs >= 2 classes, got %d", nClasses)
 	}
 	if cfg.PerTraceNorm {
 		cfg.NormMode = NormTrace // the one mechanism inference implements
 	}
 	sel, err := NewSelectorBank(len(traces[0]), cfg.Bank)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sel.KLth = cfg.KLth
 	sel.TopPerPair = cfg.TopPerPair
 	for _, l := range labels {
 		if l < 0 || l >= nClasses {
-			return nil, fmt.Errorf("features: label %d out of range [0,%d)", l, nClasses)
+			return nil, nil, fmt.Errorf("features: label %d out of range [0,%d)", l, nClasses)
 		}
 	}
 	fitStart := time.Now()
@@ -270,7 +273,7 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 		sub, err := sel.CWT.TransformFlatBatchCtx(statsCtx, input[lo:hi])
 		if err != nil {
 			statsSpan.End()
-			return nil, err
+			return nil, nil, err
 		}
 		// Accumulate the drift baseline from the un-normalized traces — the
 		// monitor must see the moments CSA would cancel.
@@ -278,14 +281,14 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 			m, sd := stats.TraceNormParams(traces[k])
 			if err := traceMoments.Add([]float64{m, sd}); err != nil {
 				statsSpan.End()
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		for i := lo; i < hi; i++ {
 			flat := sub[i-lo]
 			l := labels[i]
 			if err := classStats[l].Add(flat); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			pp := perProgram[l][programs[i]]
 			if pp == nil {
@@ -293,7 +296,7 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 				perProgram[l][programs[i]] = pp
 			}
 			if err := pp.Add(flat); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if useCache {
 				flats[i] = flat
@@ -308,13 +311,13 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 		for c := 0; c < nClasses; c++ {
 			if err := ctx.Err(); err != nil {
 				maskSpan.End()
-				return nil, err
+				return nil, nil, err
 			}
 			if len(perProgram[c]) >= 2 {
 				m, skipped, err := sel.NotVaryingMask(perProgram[c])
 				if err != nil {
 					maskSpan.End()
-					return nil, fmt.Errorf("features: not-varying mask for class %d: %w", c, err)
+					return nil, nil, fmt.Errorf("features: not-varying mask for class %d: %w", c, err)
 				}
 				pl.MaskSkipped += skipped
 				masks[c] = m
@@ -331,7 +334,7 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	for a := 0; a < nClasses; a++ {
 		for b := a + 1; b < nClasses; b++ {
 			if classStats[a].N < 2 || classStats[b].N < 2 {
-				return nil, fmt.Errorf("features: classes %d/%d lack traces", a, b)
+				return nil, nil, fmt.Errorf("features: classes %d/%d lack traces", a, b)
 			}
 			jobs = append(jobs, pairJob{a, b})
 		}
@@ -350,7 +353,7 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 		return nil
 	}); err != nil {
 		selSpan.End()
-		return nil, err
+		return nil, nil, err
 	}
 	selSpan.End()
 	points := UnionPoints(pairs)
@@ -381,7 +384,7 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 			feats[i] = pl.pointsFromNormalized(flats[i])
 		}); err != nil {
 			extSpan.End()
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		met().cacheMisses.Add(int64(n))
@@ -394,21 +397,21 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 			return nil
 		}); err != nil {
 			extSpan.End()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	extSpan.End()
-	_, pcaSpan := obs.Span(ctx, "features.pca")
+	pcaCtx, pcaSpan := obs.Span(ctx, "features.pca")
 	if cfg.Standardize {
 		z := &stats.ZScoreNormalizer{}
 		if err := z.Fit(feats); err != nil {
 			pcaSpan.End()
-			return nil, err
+			return nil, nil, err
 		}
 		pl.z = z
 		if feats, err = z.ApplyAll(feats); err != nil {
 			pcaSpan.End()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	k := cfg.NumComponents
@@ -416,13 +419,26 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 		k = len(points)
 	}
 	pca, err := FitPCA(feats, k)
-	pcaSpan.End()
 	if err != nil {
-		return nil, err
+		pcaSpan.End()
+		return nil, nil, err
 	}
 	pl.pca = pca
+	// The training traces' classifier inputs: their pass-2 values, already
+	// standardized above, projected through the PCA just fitted — the steps
+	// Extract runs after its CWT, in the same order, so X is bitwise what
+	// ExtractAll(traces) would recompute at one more CWT per trace.
+	X := make([][]float64, n)
+	if err := parallel.ForErrCtx(pcaCtx, n, func(i int) error {
+		X[i] = make([]float64, pca.NumComponents())
+		return pca.TransformInto(X[i], feats[i])
+	}); err != nil {
+		pcaSpan.End()
+		return nil, nil, err
+	}
+	pcaSpan.End()
 	observeSince(met().fitSeconds, fitStart)
-	return pl, nil
+	return pl, X, nil
 }
 
 // timeIfEnabled returns the current time when h is live, or the zero time

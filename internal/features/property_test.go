@@ -153,7 +153,7 @@ func TestExtractAllAgreesSerialParallelRetried(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 6, 3, true)
 	cfg := DefaultPipelineConfig()
 	cfg.NumComponents = 5
-	pl, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

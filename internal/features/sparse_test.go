@@ -18,7 +18,7 @@ func fitTestPipeline(t *testing.T, cfg PipelineConfig) *Pipeline {
 	rng := rand.New(rand.NewSource(31))
 	traces, labels, programs := synthDataset(rng, 6, 3, true)
 	cfg.NumComponents = 5
-	pl, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func TestPipelineStateRoundTrip(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 15, 3, false)
 	cfg := CSAPipelineConfig()
 	cfg.NumComponents = 3
-	pl, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateTrace$$' -fuzztime $(FUZZTIME) ./internal/power
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsFlagParsing$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTraces$$' -fuzztime $(FUZZTIME) ./internal/serve
 

@@ -75,6 +75,41 @@ func TestFitPipelineParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestFitPCASubspaceParallelEquivalence fits a PCA wider than jacobiMaxDim,
+// so block power iteration runs both of its products on the pool, and
+// requires components and eigenvalues bitwise equal at 1 and 4 workers.
+// Every seventh column is constant and centres to exact zeros, which the
+// products skip.
+func TestFitPCASubspaceParallelEquivalence(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	rng := rand.New(rand.NewSource(31))
+	const n, p, k = 40, jacobiMaxDim + 90, 6
+	X := make([][]float64, n)
+	for i := range X {
+		X[i] = make([]float64, p)
+		for j := range X[i] {
+			X[i][j] = 1.5
+			if j%7 != 0 {
+				X[i][j] = rng.NormFloat64()
+			}
+		}
+	}
+	fit := func(workers int) *PCA {
+		parallel.SetWorkers(workers)
+		pc, err := FitPCA(X, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc
+	}
+	serial, par := fit(1), fit(4)
+	if serial.NumComponents() != k {
+		t.Fatalf("kept %d components, want %d", serial.NumComponents(), k)
+	}
+	testkit.ExactEqual(t, par.Components.Data, serial.Components.Data, "components at 4 workers vs 1")
+	testkit.ExactEqual(t, par.EigVals, serial.EigVals, "eigenvalues at 4 workers vs 1")
+}
+
 // TestFitPipelineCacheEquivalence forces the chunked recompute path (cache
 // budget zero) and requires it to produce the same pipeline as the cached
 // one-CWT-per-trace path.

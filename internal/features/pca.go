@@ -6,7 +6,7 @@ import (
 	"math"
 
 	"repro/internal/linalg"
-
+	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -109,7 +109,9 @@ func (pc *PCA) dropZeroVariance() *PCA {
 
 // fitPCASubspace computes the leading k principal components by block power
 // iteration on the centered data, never forming the p×p covariance:
-// V ← orth(Cᵀ(C·V)/(n−1)) with C the centered data matrix.
+// V ← orth(Cᵀ(C·V)/(n−1)) with C the centered data matrix. Both products run
+// on the worker pool, split by output row; each output entry is summed in the
+// serial order, so the result does not depend on the worker count.
 func fitPCASubspace(M *linalg.Matrix, mu []float64, k int) (*PCA, error) {
 	n, p := M.Rows, M.Cols
 	C := M.Clone()
@@ -133,35 +135,33 @@ func fitPCASubspace(M *linalg.Matrix, mu []float64, k int) (*PCA, error) {
 	const iters = 12
 	for it := 0; it < iters; it++ {
 		// W = C·V (n×k), then V ← Cᵀ·W scaled.
-		W, err := C.Mul(V)
-		if err != nil {
-			return nil, err
-		}
+		W := mulRows(C, V)
 		next := linalg.NewMatrix(p, k)
-		for i := 0; i < n; i++ {
-			ci := C.Row(i)
-			wi := W.Row(i)
-			for j := 0; j < p; j++ {
-				cij := ci[j]
-				if cij == 0 {
-					continue
-				}
-				nj := next.Row(j)
-				for c := 0; c < k; c++ {
-					nj[c] += cij * wi[c]
+		// Each task owns pcaBlock rows of next and walks C's rows in order,
+		// so next[j][c] sums over i exactly as a serial loop would.
+		parallel.For((p+pcaBlock-1)/pcaBlock, func(b int) {
+			lo := b * pcaBlock
+			hi := min(lo+pcaBlock, p)
+			for i := 0; i < n; i++ {
+				wi := W.Row(i)
+				for j, cij := range C.Row(i)[lo:hi] {
+					if cij == 0 {
+						continue
+					}
+					nj := next.Row(lo + j)
+					for c := 0; c < k; c++ {
+						nj[c] += cij * wi[c]
+					}
 				}
 			}
-		}
+		})
 		next.Scale(inv)
 		V = next
 		orthonormalizeColumns(V)
 	}
 	// Rayleigh-quotient eigenvalues: λ_c = ‖C·v_c‖²/(n−1).
 	vals := make([]float64, k)
-	W, err := C.Mul(V)
-	if err != nil {
-		return nil, err
-	}
+	W := mulRows(C, V)
 	for c := 0; c < k; c++ {
 		var s float64
 		for i := 0; i < n; i++ {
@@ -177,6 +177,39 @@ func fitPCASubspace(M *linalg.Matrix, mu []float64, k int) (*PCA, error) {
 		}
 	}
 	return &PCA{Mean: mu, Components: comp, EigVals: vals}, nil
+}
+
+// pcaBlock is how many rows of Cᵀ·W one task of fitPCASubspace owns.
+const pcaBlock = 64
+
+// mulBlock is how many rows of C·V one task of mulRows computes per pass
+// over V: one row per pass streams all of V from cache for each row of C,
+// and that traffic, not arithmetic, bounded the product on two workers.
+const mulBlock = 8
+
+// mulRows returns C·V on the worker pool, mulBlock rows per task. Each row
+// is summed in Matrix.Mul's order (zero entries of C skipped), so the
+// product is Mul's bit for bit.
+func mulRows(C, V *linalg.Matrix) *linalg.Matrix {
+	W := linalg.NewMatrix(C.Rows, V.Cols)
+	parallel.For((C.Rows+mulBlock-1)/mulBlock, func(b int) {
+		lo := b * mulBlock
+		hi := min(lo+mulBlock, C.Rows)
+		for r := 0; r < C.Cols; r++ {
+			vr := V.Row(r)
+			for i := lo; i < hi; i++ {
+				a := C.At(i, r)
+				if a == 0 {
+					continue
+				}
+				wi := W.Row(i)
+				for c, v := range vr {
+					wi[c] += a * v
+				}
+			}
+		}
+	})
+	return W
 }
 
 // orthonormalizeColumns runs modified Gram–Schmidt over the columns of V.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/hex"
 	"flag"
 	"io"
 	"math"
@@ -26,8 +27,8 @@ func optionsEqual(a, b Options) bool {
 	return a == b
 }
 
-// TestFuzzCorpusCommitted regenerates the committed seed corpus under
-// testdata/fuzz when REGEN_FUZZ_CORPUS is set, and otherwise asserts it is
+// TestFuzzCorpusCommitted regenerates the committed seed corpora under
+// testdata/fuzz when REGEN_FUZZ_CORPUS is set, and otherwise asserts they are
 // present so the CI fuzz-smoke job always starts from real seeds.
 func TestFuzzCorpusCommitted(t *testing.T) {
 	if os.Getenv("REGEN_FUZZ_CORPUS") != "" {
@@ -43,12 +44,56 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 			"--metrics-out=out.json")
 		testkit.WriteCorpus(t, "FuzzOptionsFlagParsing", "drift",
 			"-decision-log\nd.jsonl\n-decision-sample\n4\n-drift-warn\n0.5\n-drift-window\n32")
+		for _, r := range traceparentRows() {
+			testkit.WriteCorpus(t, "FuzzParseTraceparent", r.name, r.header)
+		}
 		return
 	}
-	ents, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzOptionsFlagParsing"))
-	if err != nil || len(ents) == 0 {
-		t.Errorf("no committed seed corpus for FuzzOptionsFlagParsing (REGEN_FUZZ_CORPUS=1 to create): %v", err)
+	for _, target := range []string{"FuzzOptionsFlagParsing", "FuzzParseTraceparent"} {
+		ents, err := os.ReadDir(filepath.Join("testdata", "fuzz", target))
+		if err != nil || len(ents) == 0 {
+			t.Errorf("no committed seed corpus for %s (REGEN_FUZZ_CORPUS=1 to create): %v", target, err)
+		}
 	}
+}
+
+// FuzzParseTraceparent drives the traceparent parser with arbitrary header
+// values. Properties: no input panics; a rejected header yields zero values;
+// an accepted one is at least 55 bytes, and its non-zero trace and parent IDs
+// are the hex decode of bytes 3–35 and 36–52; and FormatTraceparent of what
+// it returned parses back to the same values.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, r := range traceparentRows() {
+		f.Add(r.header)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		trace, parent, sampled, ok := ParseTraceparent(header)
+		if !ok {
+			if !trace.IsZero() || !parent.IsZero() || sampled {
+				t.Fatalf("rejected %q but returned %s, %s, %v", header, trace, parent, sampled)
+			}
+			return
+		}
+		if len(header) < 55 {
+			t.Fatalf("accepted %d-byte header %q", len(header), header)
+		}
+		if trace.IsZero() || parent.IsZero() {
+			t.Fatalf("accepted %q with a zero ID", header)
+		}
+		var wantTrace TraceID
+		var wantParent SpanID
+		if _, err := hex.Decode(wantTrace[:], []byte(header[3:35])); err != nil || trace != wantTrace {
+			t.Fatalf("%q: trace ID %s, bytes 3–35 decode to %s (%v)", header, trace, wantTrace, err)
+		}
+		if _, err := hex.Decode(wantParent[:], []byte(header[36:52])); err != nil || parent != wantParent {
+			t.Fatalf("%q: parent ID %s, bytes 36–52 decode to %s (%v)", header, parent, wantParent, err)
+		}
+		out := FormatTraceparent(trace, parent, sampled)
+		t2, p2, s2, ok2 := ParseTraceparent(out)
+		if !ok2 || t2 != trace || p2 != parent || s2 != sampled {
+			t.Fatalf("%q formatted as %q parses to (%s, %s, %v, %v)", header, out, t2, p2, s2, ok2)
+		}
+	})
 }
 
 // FuzzOptionsFlagParsing drives the shared CLI flag surface (the -metrics-out

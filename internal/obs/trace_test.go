@@ -12,11 +12,45 @@ import (
 	"repro/internal/testkit"
 )
 
+// validTraceparent is the W3C specification's example header.
+const validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+// traceparentRow is one header TestParseTraceparent pins and
+// FuzzParseTraceparent starts from.
+type traceparentRow struct {
+	name, header string
+	ok           bool // ParseTraceparent accepts it
+}
+
+// traceparentRows are the headers TestParseTraceparent pins: the valid
+// example sampled and unsampled, a future version, and one header per way to
+// be invalid.
+func traceparentRows() []traceparentRow {
+	return []traceparentRow{
+		{"valid", validTraceparent, true},
+		{"unsampled", strings.Replace(validTraceparent, "-01", "-00", 1), true},
+		// A future version with extra fields is accepted per the W3C spec.
+		{"future_version", "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-whatever", true},
+		{"empty", "", false},
+		{"version_only", "00", false},
+		{"no_flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", false},
+		{"uppercase", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", false},
+		{"zero_trace", "00-00000000000000000000000000000000-00f067aa0ba902b7-01", false},
+		{"zero_parent", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false},
+		{"version_ff", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+		{"v00_trailer", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-ex", false},
+		{"bad_version_hex", "zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+		{"bad_separator", "00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+		{"bad_trace_hex", "00-4bf92f3577b34da6a3ce929d0e0e473x-00f067aa0ba902b7-01", false},
+		{"bad_parent_hex", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902bx-01", false},
+		{"bad_flags_hex", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-x1", false},
+	}
+}
+
 func TestParseTraceparent(t *testing.T) {
-	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	trace, parent, sampled, ok := ParseTraceparent(valid)
+	trace, parent, sampled, ok := ParseTraceparent(validTraceparent)
 	if !ok {
-		t.Fatalf("valid header rejected: %q", valid)
+		t.Fatalf("valid header rejected: %q", validTraceparent)
 	}
 	if trace.String() != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("trace ID = %s", trace)
@@ -27,34 +61,13 @@ func TestParseTraceparent(t *testing.T) {
 	if !sampled {
 		t.Fatal("flags 01 should report sampled")
 	}
-	if _, _, sampled, ok = ParseTraceparent(strings.Replace(valid, "-01", "-00", 1)); !ok || sampled {
+	if _, _, sampled, ok = ParseTraceparent(strings.Replace(validTraceparent, "-01", "-00", 1)); !ok || sampled {
 		t.Fatal("flags 00 should parse as unsampled")
 	}
-
-	invalid := []string{
-		"",
-		"00",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",       // no flags
-		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",    // uppercase
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",    // zero trace
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",    // zero parent
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // version ff
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-ex", // v00 with trailer
-		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // bad version hex
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // bad separator
-		"00-4bf92f3577b34da6a3ce929d0e0e473x-00f067aa0ba902b7-01",    // bad trace hex
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902bx-01",    // bad parent hex
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-x1",    // bad flags hex
-	}
-	for _, h := range invalid {
-		if _, _, _, ok := ParseTraceparent(h); ok {
-			t.Errorf("invalid header accepted: %q", h)
+	for _, r := range traceparentRows() {
+		if _, _, _, ok := ParseTraceparent(r.header); ok != r.ok {
+			t.Errorf("%s: %q accepted = %v, want %v", r.name, r.header, ok, r.ok)
 		}
-	}
-	// Future version with extra fields is accepted per the W3C spec.
-	future := "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-whatever"
-	if _, _, _, ok := ParseTraceparent(future); !ok {
-		t.Errorf("future-version header rejected: %q", future)
 	}
 }
 

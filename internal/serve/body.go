@@ -225,45 +225,84 @@ func (p *traceParser) trace(index, traceLen int) ([]float64, error) {
 }
 
 // number scans one RFC 8259 number,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and converts it with
-// strconv.ParseFloat, as encoding/json does, so samples are bit-identical to
-// a json.Unmarshal into float64; out-of-range values are rejected as there.
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and converts it in the same
+// pass. The scan builds the decimal mantissa and exponent by strconv's rules
+// (19 mantissa digits and a truncation flag, zeros before the first
+// significant digit only moving the point, exponent digits read while it is
+// below 10 000), and atof64 converts them in strconv's order, with
+// strconv.ParseFloat as the fallback. So samples are bit-identical to a
+// json.Unmarshal into float64, and out-of-range values are rejected as there.
 func (p *traceParser) number() (float64, error) {
 	p.skipSpace()
-	start := p.pos
-	p.skipByte('-')
+	buf, i := p.buf, p.pos
+	start := i
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
+		i++
+	}
+	var d decimal
+	// The decimal point's place, in digits after the first significant digit;
+	// negative when zeros stand between the two.
+	point := 0
 	switch {
-	case p.skipByte('0'):
-	case p.pos < len(p.buf) && '1' <= p.buf[p.pos] && p.buf[p.pos] <= '9':
-		p.digits()
+	case i < len(buf) && buf[i] == '0':
+		i++
+	case i < len(buf) && '1' <= buf[i] && buf[i] <= '9':
+		first := i
+		d, i = d.scan(buf, i)
+		point = i - first
 	default:
+		p.pos = i
 		return 0, p.syntaxError("a number")
 	}
-	if p.skipByte('.') && p.digits() == 0 {
-		return 0, p.syntaxError("a digit after '.'")
-	}
-	if p.skipByte('e') || p.skipByte('E') {
-		if !p.skipByte('+') {
-			p.skipByte('-')
+	if i < len(buf) && buf[i] == '.' {
+		i++
+		frac := i
+		if d.kept == 0 {
+			for i < len(buf) && buf[i] == '0' {
+				i++
+			}
+			point = frac - i
 		}
-		if p.digits() == 0 {
+		if d, i = d.scan(buf, i); i == frac {
+			p.pos = i
+			return 0, p.syntaxError("a digit after '.'")
+		}
+	}
+	if i < len(buf) && (buf[i] == 'e' || buf[i] == 'E') {
+		i++
+		eneg := i < len(buf) && buf[i] == '-'
+		if eneg || i < len(buf) && buf[i] == '+' {
+			i++
+		}
+		digits, e := i, 0
+		for ; i < len(buf) && '0' <= buf[i] && buf[i] <= '9'; i++ {
+			if e < 10000 {
+				e = e*10 + int(buf[i]-'0')
+			}
+		}
+		if i == digits {
+			p.pos = i
 			return 0, p.syntaxError("a digit in the exponent")
 		}
+		if eneg {
+			e = -e
+		}
+		point += e
 	}
-	v, err := strconv.ParseFloat(string(p.buf[start:p.pos]), 64)
+	p.pos = i
+	exp10 := 0
+	if d.mant != 0 {
+		exp10 = point - d.kept
+	}
+	if v, ok := atof64(d.mant, exp10, neg, d.trunc); ok {
+		return v, nil
+	}
+	v, err := strconv.ParseFloat(string(buf[start:i]), 64)
 	if err != nil {
 		return 0, fmt.Errorf("invalid JSON body: number at byte %d: %w", start, err)
 	}
 	return v, nil
-}
-
-// digits consumes a run of decimal digits and returns its length.
-func (p *traceParser) digits() int {
-	start := p.pos
-	for p.pos < len(p.buf) && '0' <= p.buf[p.pos] && p.buf[p.pos] <= '9' {
-		p.pos++
-	}
-	return p.pos - start
 }
 
 // skipSpace consumes JSON whitespace: space, tab, newline, carriage return.

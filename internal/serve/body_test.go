@@ -388,6 +388,13 @@ func readTracesSeeds() map[string]readTracesSeed {
 		"json_spaced":       {[]byte(" { \"traces\" :\n[ [1, -0 ,2e1 ] ,\t[0.5,1E+2,-3e-2]\r] } "), js, 3},
 		"json_number_forms": {[]byte(`{"traces":[[-0.0,0e0,123456789012345678901234567890,1e-400,5e-324,1.7976931348623157e308]]}`), js, 6},
 		"json_realistic":    {marshalBatch(randomBatch(1, benchTraceLen, 3)), js, benchTraceLen},
+		// One per conversion branch past Eisel–Lemire's first product: more
+		// than 19 digits confirmed by mant+1, exact and cut halfway points
+		// it cannot decide, and subnormals and underflow it leaves to
+		// strconv.ParseFloat.
+		"json_truncated":    {[]byte(`{"traces":[[0.1000000000000000055511151231257827021181583404541015625,123456789012345678901234567890e-10,-3558481.322532862657681107521057128906257]]}`), js, 3},
+		"json_halfway":      {[]byte(`{"traces":[[9007199254740993,1.00000000000000011102230246251565404236316680908203125,1.000000000000000111022302462515654042363166809082031250001]]}`), js, 3},
+		"json_fallback":     {[]byte(`{"traces":[[5e-324,2.2250738585072011e-308,1e-400,-4.9406564584124654e-324]]}`), js, 4},
 		"json_null_sample":  {[]byte(`{"traces":[[null,2,3]]}`), js, 3},
 		"json_trailing":     {[]byte(`{"traces":[[1,2,3]]} junk`), js, 3},
 		"json_second_value": {[]byte(`{"traces":[[1,2,3]]}{}`), js, 3},

@@ -1,6 +1,6 @@
 package sidechannel
 
-// Observability overhead guard: the same FitPipeline workload with the
+// Observability overhead guard: the same FitPipelineCtx workload with the
 // metrics registry + tracer installed versus the nil-registry fast path.
 // The instruments are atomic counters and stage-granularity spans, so the
 // delta must stay inside the noise floor. Run the comparison gate with
@@ -92,9 +92,10 @@ func BenchmarkRequestTracingBundle(b *testing.B) {
 		tracer := obs.NewTracer()
 		tracer.Fine = true
 		tracer.MaxSpans = 512
-		tracer.SetTraceContext(obs.NewTraceID(), obs.SpanID{})
+		traceID := obs.NewTraceID()
+		tracer.SetTraceContext(traceID, obs.SpanID{})
 		sctx, root := obs.Span(obs.WithTracer(ctx, tracer), "serve.request")
-		_ = obs.FormatTraceparent(tracer.TraceID(), root.ExportID(), true)
+		_ = obs.FormatTraceparent(traceID, root.ExportID(), true)
 		load := root.FineChild("serve.template.load")
 		load.End()
 		body := root.FineChild("serve.decode.body")
@@ -128,7 +129,7 @@ func minNsPerOp(rounds int, fn func(b *testing.B)) float64 {
 }
 
 // TestMetricsOverheadBudget is the bench-compare gate: with BENCH_COMPARE=1
-// it measures obs-on vs obs-off FitPipeline and fails when the instrumented
+// it measures obs-on vs obs-off FitPipelineCtx and fails when the instrumented
 // path costs more than 3%. Env-gated because a timing assertion on a loaded
 // machine is a flake, not a signal; `make bench-compare` opts in.
 func TestMetricsOverheadBudget(t *testing.T) {

@@ -9,6 +9,7 @@ package sidechannel
 // multi-core machine the *Parallel variants should scale with the cores).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -39,7 +40,7 @@ func benchTraces(n, length int) [][]float64 {
 }
 
 func benchCWT(b *testing.B) *dsp.CWT {
-	c, err := dsp.NewCWT(50, 2, 80)
+	c, err := dsp.NewCWTBank(dsp.DefaultBank())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func BenchmarkPipelineCWTTransformBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.TransformFlatBatch(traces); err != nil {
+		if _, err := c.TransformFlatBatchCtx(context.Background(), traces); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +87,7 @@ func benchPipeline(b *testing.B) (*features.Pipeline, [][]float64) {
 	}
 	cfg := features.CSAPipelineConfig()
 	cfg.NumComponents = 8
-	pl, _, err := features.FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := features.FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func BenchmarkPipelineClassifyOneSparse(b *testing.B) {
 	}
 }
 
-// benchFit runs a full FitPipeline at the given worker count; the
+// benchFit runs a full FitPipelineCtx at the given worker count; the
 // Serial/Parallel pair quantifies the multi-core speedup (identical results
 // by construction — see the equivalence tests).
 func benchFit(b *testing.B, workers int) {
@@ -155,7 +156,7 @@ func benchFit(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := features.FitPipeline(traces, labels, programs, 2, cfg); err != nil {
+		if _, _, err := features.FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,15 +25,22 @@ func metricName(name, suffix string) string {
 }
 
 // benchScale keeps every benchmark in the seconds range; it matches the
-// configuration validated by the experiments package tests.
+// TinyScale the experiments package tests validate.
 func benchScale() experiments.Scale {
-	return experiments.TinyScale()
+	return experiments.Scale{
+		Programs:         3,
+		CSAPrograms:      5,
+		TracesPerProgram: 10,
+		TestTraces:       40,
+		Severity:         5,
+		Seed:             42,
+	}
 }
 
 // midScale is used where the covariate-shift pattern needs a few more
 // programs to emerge (Table 3).
 func midScale() experiments.Scale {
-	sc := experiments.TinyScale()
+	sc := benchScale()
 	sc.Programs = 6
 	sc.CSAPrograms = 10
 	sc.TracesPerProgram = 20

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -38,7 +39,7 @@ func main() {
 			pc = features.DefaultPipelineConfig()
 		}
 		pc.NumComponents = 3
-		pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, 2, pc)
+		pipe, X, err := features.FitPipelineCtx(context.Background(), train.Traces, train.Labels, train.Programs, 2, pc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -405,9 +405,6 @@ func (c Class) Name() string { return SpecOf(c).Name }
 // Group returns the Table 2 group of the class.
 func (c Class) Group() Group { return SpecOf(c).Group }
 
-// Classified reports whether c is one of the 112 profiled classes.
-func (c Class) Classified() bool { return int(c) < NumClasses }
-
 // ClassesInGroup returns the classes belonging to group g, in declaration
 // order (which is the paper's Table 2 order).
 func ClassesInGroup(g Group) []Class {

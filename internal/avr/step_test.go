@@ -1,6 +1,9 @@
 package avr
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func mustWords(t *testing.T, prog []Instruction) []uint16 {
 	t.Helper()
@@ -57,6 +60,68 @@ func TestStepJMPAbsolute(t *testing.T) {
 	if m.R[17] != 0x77 || m.R[16] != 0 {
 		t.Fatalf("JMP landed wrong: r16=%#x r17=%#x", m.R[16], m.R[17])
 	}
+}
+
+// Step fetches, decodes and executes the instruction at PC, advancing PC
+// (including branch targets and skips). It returns the executed instruction
+// and its activity. An empty flash image is an error. The power model
+// executes instructions one by one with Exec and never fetches from flash,
+// so only these tests run a program through its control flow.
+func (m *Machine) Step() (Instruction, Activity, error) {
+	if len(m.Flash) == 0 {
+		return Instruction{}, Activity{}, fmt.Errorf("avr: Step with empty flash")
+	}
+	pc := int(m.PC) % len(m.Flash)
+	window := m.Flash[pc:]
+	if len(window) < 2 && pc+1 < len(m.Flash) {
+		window = m.Flash[pc : pc+2]
+	}
+	in, n, err := Decode(window)
+	if err != nil {
+		return Instruction{}, Activity{}, fmt.Errorf("avr: Step at PC=%d: %w", pc, err)
+	}
+	act, err := m.Exec(in)
+	if err != nil {
+		return in, act, err
+	}
+	next := uint32(pc + n)
+	if act.Taken {
+		switch in.Class {
+		case OpJMP:
+			next = uint32(in.Addr)
+		case OpRJMP:
+			next = uint32(int(pc) + n + int(in.Off))
+		case OpBREQ, OpBRNE, OpBRCS, OpBRCC, OpBRSH, OpBRLO, OpBRMI, OpBRPL,
+			OpBRGE, OpBRLT, OpBRHS, OpBRHC, OpBRTS, OpBRTC, OpBRVS, OpBRVC,
+			OpBRIE, OpBRID, OpBRBS, OpBRBC:
+			next = uint32(int(pc) + n + int(in.Off))
+		default:
+			// Skip instructions: skip over the next instruction, which may
+			// be 1 or 2 words.
+			skipAt := int(next) % len(m.Flash)
+			_, sn, derr := Decode(m.Flash[skipAt:])
+			if derr != nil {
+				sn = 1
+			}
+			next += uint32(sn)
+		}
+	}
+	m.PC = next % uint32(len(m.Flash))
+	return in, act, nil
+}
+
+// Run executes up to maxSteps instructions with Step, returning the
+// executed listing.
+func (m *Machine) Run(maxSteps int) ([]Instruction, error) {
+	var out []Instruction
+	for i := 0; i < maxSteps; i++ {
+		in, _, err := m.Step()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, in)
+	}
+	return out, nil
 }
 
 func TestRunExecutesSequence(t *testing.T) {

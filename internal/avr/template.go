@@ -89,11 +89,6 @@ func RandomOperands(rng *rand.Rand, c Class) Instruction {
 	return in
 }
 
-// RandomClass returns a uniformly random classified instruction class.
-func RandomClass(rng *rand.Rand) Class {
-	return Class(rng.Intn(NumClasses))
-}
-
 // safeNeighborClasses are the classes used for the random neighbor slots of
 // a segment template. Branches and skips are excluded so the template's
 // straight-line timing is preserved, mirroring the paper's profiling setup.

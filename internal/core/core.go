@@ -66,7 +66,8 @@ func init() {
 type SparseMode int
 
 // SparseAuto was the default SparseMode. It is an untyped constant, so it
-// also still fills the ignored serve.RegistryConfig.Sparse field.
+// also still fills the ignored serve.RegistryConfig.Sparse field. It stays
+// only because scdisbench's replay names it (ROADMAP item 1 retires it).
 //
 // Deprecated: see SparseMode.
 const SparseAuto = 0
@@ -209,12 +210,14 @@ type Disassembler struct {
 // SetSparseModePreferred once chose the inference path per template.
 //
 // Deprecated: sparse per-cell extraction is the only inference path; this is
-// a no-op that reports no fallback.
+// a no-op that reports no fallback. It stays only because scdisbench's
+// replay calls it (ROADMAP item 1 retires it).
 func (d *Disassembler) SetSparseModePreferred(SparseMode) (fellBack bool) { return false }
 
 // SparseEnabled reports whether classification runs the sparse path.
 //
-// Deprecated: it always does; this returns true.
+// Deprecated: it always does; this returns true. It stays only because
+// scdisbench's replay calls it (ROADMAP item 1 retires it).
 func (d *Disassembler) SparseEnabled() bool { return true }
 
 // ErrNotTrained is returned when a Disassembler lacks a required level.
@@ -240,6 +243,10 @@ func (d *Disassembler) TraceLen() int {
 // The trace is validated first (power.ValidateTrace): a NaN/Inf, constant or
 // wrong-length capture is rejected with a typed error instead of silently
 // producing a garbage label.
+//
+// It is the facade's single-trace decode: nothing in this module calls it,
+// but sidechannel.Disassembler users do, and TestDecodeAllocationBudget,
+// TestSparseSpeedupBudget and BENCH_pipeline.json measure it.
 func (d *Disassembler) Classify(trace []float64) (Decoded, error) {
 	if d.observer != nil {
 		// An installed observer wants the scored path: same labels (the
@@ -279,6 +286,8 @@ func operandRegisters(k avr.OperandKind, c avr.Class) (rd, rr bool) {
 // into a listing. The classifications run on the parallel.Workers() pool,
 // two adjacent traces per walk; the output (and, on failure, the decoded
 // prefix plus the lowest-index error) is identical to classifying serially.
+// It is DisassembleCtx with a background context, kept as the facade's decode
+// that sidechannel's package doc and examples call.
 func (d *Disassembler) Disassemble(traces [][]float64) ([]Decoded, error) {
 	return d.DisassembleCtx(context.Background(), traces)
 }
@@ -315,7 +324,8 @@ func (d *Disassembler) DisassembleCtx(ctx context.Context, traces [][]float64) (
 	return out, nil
 }
 
-// DisassembleScored is DisassembleScoredCtx with a background context.
+// DisassembleScored is DisassembleScoredCtx with a background context. It
+// stays only because scdisbench's replay calls it (ROADMAP item 1 retires it).
 func (d *Disassembler) DisassembleScored(traces [][]float64) ([]Decision, error) {
 	return d.DisassembleScoredCtx(context.Background(), traces)
 }

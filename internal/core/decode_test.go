@@ -147,7 +147,7 @@ func TestScratchExtractionMatchesExtractSparse(t *testing.T) {
 }
 
 // publicDecision decodes one trace level by level through the public calls
-// (extract, PredictScored, and Scores + ScoredFromLogScores for a group
+// (extract, PredictScored, and Scores + Scratch.ScoredFromLogScores for a group
 // decision restricted to trained groups). With ExtractSparse as extract it
 // is the reference the pooled walk must reproduce bit for bit; with the
 // full-CWT Extract it is the accuracy gate's oracle.
@@ -173,7 +173,7 @@ func publicDecision(t *testing.T, d *Disassembler, trace []float64, extract func
 					scores[g] = math.Inf(-1)
 				}
 			}
-			sp = ml.ScoredFromLogScores(scores)
+			sp = new(ml.Scratch).ScoredFromLogScores(scores)
 		}
 		dec.Levels = append(dec.Levels, obs.DecisionLevel{Level: name, Label: sp.Label, RunnerUp: sp.RunnerUp, Confidence: sp.Confidence, Margin: sp.Margin})
 		dec.Confidence *= sp.Confidence

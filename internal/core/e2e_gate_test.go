@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -114,7 +115,7 @@ func TestEndToEndAccuracyGate(t *testing.T) {
 		t.Skip("accuracy gate trains the full hierarchy; skipped in -short mode")
 	}
 	cfg := gateConfig()
-	d, rep, err := Train(cfg)
+	d, rep, err := TrainCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

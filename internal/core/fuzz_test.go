@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/avr"
 	"repro/internal/dsp"
+	"repro/internal/parallel"
 	"repro/internal/store"
 	"repro/internal/testkit"
 )
@@ -126,7 +128,8 @@ func TestStrippedTrainedSeedRejectedCleanly(t *testing.T) {
 // RestoreClassifier and InstallSparseTable. The contract: Load never
 // panics, never returns a non-nil Disassembler together with an error, and
 // classifies every rejection under ErrTemplateFormat (I/O errors are
-// impossible from a bytes.Reader).
+// impossible from a bytes.Reader); an accepted template decodes a single
+// trace and a paired batch without panicking.
 func FuzzLoad(f *testing.F) {
 	for _, b := range craftedSeeds(f) {
 		f.Add(b)
@@ -137,14 +140,24 @@ func FuzzLoad(f *testing.F) {
 			if d == nil {
 				t.Fatal("Load returned nil, nil")
 			}
-			// Anything Load accepts must be classify-ready: the call must
-			// return a verdict or an error, never panic. The probe is capped
-			// so a fuzzed header cannot demand a huge trace.
-			trace := make([]float64, min(d.TraceLen(), 1<<12))
-			for i := range trace {
-				trace[i] = float64(i % 7)
+			// Anything Load accepts must be decode-ready: every call must
+			// return a verdict or an error, never panic. The probes are
+			// capped so a fuzzed header cannot demand a huge trace. Three
+			// distinct traces at two workers walk as one pair and one lone
+			// lane, so the fuzzed template reaches the paired walk as well
+			// as the single-trace one.
+			n := min(d.TraceLen(), 1<<12)
+			traces := make([][]float64, 3)
+			for k := range traces {
+				traces[k] = make([]float64, n)
+				for i := range traces[k] {
+					traces[k][i] = float64(i % (7 - 2*k))
+				}
 			}
-			_, _ = d.Classify(trace)
+			_, _ = d.Classify(traces[0])
+			parallel.SetWorkers(2)
+			t.Cleanup(func() { parallel.SetWorkers(0) })
+			_, _ = d.DisassembleScoredCtx(context.Background(), traces)
 			return
 		}
 		if d != nil {

@@ -106,9 +106,11 @@ func TestDisassembleAgreesSerialParallelCancelled(t *testing.T) {
 	}
 }
 
-// TestCheckProgramEndToEnd covers the detection wrapper on the shared
-// fixture: the true golden flow checks clean at the class level, a tampered
-// golden flow is flagged, and defective traces propagate an error.
+// TestCheckProgramEndToEnd covers a program check on the shared fixture —
+// decode the traces, then CompareFlow against the golden flow, as the
+// malware evaluation does: the true golden flow checks clean at the class
+// level, a tampered golden flow is flagged, a length mismatch is reported,
+// and defective traces propagate an error.
 func TestCheckProgramEndToEnd(t *testing.T) {
 	d, traces := sharedFixture(t)
 	decs, err := d.Disassemble(traces)
@@ -116,18 +118,14 @@ func TestCheckProgramEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A golden flow matching the (possibly imperfect) decodes exactly:
-	// CheckProgram against it must be clean — this isolates the comparison
+	// CompareFlow against it must be clean — this isolates the comparison
 	// logic from classifier noise.
 	golden := make([]avr.Instruction, len(decs))
 	for i, dec := range decs {
 		golden[i] = avr.Instruction{Class: dec.Class, Rd: dec.Rd, Rr: dec.Rr}
 	}
-	res, err := d.CheckProgram(golden, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Clean {
-		t.Fatalf("self-consistent golden flow flagged: %v", res.Mismatches)
+	if mm := CompareFlow(golden, decs); len(mm) != 0 {
+		t.Fatalf("self-consistent golden flow flagged: %v", mm)
 	}
 
 	// Tamper: replace one instruction's class with one from another group.
@@ -137,34 +135,27 @@ func TestCheckProgramEndToEnd(t *testing.T) {
 	} else {
 		tampered[0] = avr.Instruction{Class: avr.OpSEC}
 	}
-	res, err = d.CheckProgram(tampered, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Clean {
+	if mm := CompareFlow(tampered, decs); len(mm) == 0 {
 		t.Fatal("tampered golden flow not flagged")
 	}
 
 	// Length mismatch is reported as such.
-	res, err = d.CheckProgram(golden[:len(golden)-1], traces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm := CompareFlow(golden[:len(golden)-1], decs)
 	foundLen := false
-	for _, m := range res.Mismatches {
+	for _, m := range mm {
 		if m.Field == "length" {
 			foundLen = true
 		}
 	}
 	if !foundLen {
-		t.Fatalf("missing length mismatch: %v", res.Mismatches)
+		t.Fatalf("missing length mismatch: %v", mm)
 	}
 
 	// Defective traces surface as an error, not a silent misdetection.
 	bad := [][]float64{append([]float64(nil), traces[0]...)}
 	bad[0][3] = math.NaN()
-	if _, err := d.CheckProgram(golden[:1], bad); err == nil {
-		t.Fatal("CheckProgram accepted a NaN trace")
+	if _, err := d.Disassemble(bad); err == nil {
+		t.Fatal("Disassemble accepted a NaN trace")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/avr"
 	"repro/internal/features"
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -21,14 +20,14 @@ type InferenceObserver struct {
 	// Drift receives one drift vector (see features.Pipeline.DriftVector)
 	// per successful classification.
 	Drift *obs.DriftMonitor
-	// Calibration receives ground-truth-labeled confidences from
-	// CheckProgram runs (online confidence-only feeding is up to the
-	// caller).
+	// Calibration holds ground-truth-labeled confidences. The decoder never
+	// feeds it: only a caller that knows the executed stream can label a
+	// decision, as the experiments' malware evaluation does.
 	Calibration *obs.Reliability
 }
 
-// SetObserver installs the inference-quality sinks. Classify, Disassemble
-// and CheckProgram feed them from then on; scored classification is used
+// SetObserver installs the inference-quality sinks. Classify and the batch
+// decodes feed them from then on; scored classification is used
 // automatically. Must be called before classification starts — the field is
 // read without synchronization on the hot path.
 func (d *Disassembler) SetObserver(o *InferenceObserver) { d.observer = o }
@@ -142,23 +141,4 @@ func (d *Disassembler) ClassifyScored(trace []float64) (Decision, error) {
 	}
 	d.feedObserver(dec, d.driftVector(s, s.drift[:]))
 	return dec, nil
-}
-
-// decisionCorrect reports whether a decode matches the golden instruction
-// by CompareFlow's rules: canonical class equality, plus register equality
-// where the class carries registers and the disassembler recovered them.
-func decisionCorrect(want avr.Instruction, got Decoded) bool {
-	w := avr.Canonical(want)
-	g := avr.Canonical(avr.Instruction{Class: got.Class, Rd: got.Rd, Rr: got.Rr})
-	if g.Class != w.Class {
-		return false
-	}
-	rd, rr, hasRd, hasRr := registerContext(w.Class, w)
-	if hasRd && got.HasRd && got.Rd != rd {
-		return false
-	}
-	if hasRr && got.HasRr && got.Rr != rr {
-		return false
-	}
-	return true
 }

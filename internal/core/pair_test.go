@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dsp"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -35,10 +34,10 @@ func countWalk(t *testing.T, f func()) (walkCounts, int64) {
 	reg := obs.NewRegistry()
 	obs.SetDefault(reg)
 	defer obs.SetDefault(nil)
-	cells := dsp.SparseCellCount()
+	cells := reg.Counter("dsp.cwt.sparse_cells").Value()
 	f()
 	return walkCounts{
-		cells:      int64(dsp.SparseCellCount() - cells),
+		cells:      reg.Counter("dsp.cwt.sparse_cells").Value() - cells,
 		classified: reg.Counter("core.traces.classified").Value(),
 		rejected:   reg.Counter("core.traces.rejected").Value(),
 	}, reg.Counter("parallel.tasks").Value()

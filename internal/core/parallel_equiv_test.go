@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/avr"
-	"repro/internal/dsp"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/power"
@@ -54,36 +53,37 @@ func TestClassifyOneTransformPerTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetDefault(reg)
 	full := reg.Counter("dsp.cwt.transforms")
+	sparse := reg.Counter("dsp.cwt.sparse.transforms")
 
 	before := full.Value()
-	sparseBefore := dsp.SparseTransformCount()
+	sparseBefore := sparse.Value()
 	if _, err := d.Classify(traces[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := full.Value() - before; got != 0 {
 		t.Fatalf("Classify ran %d full CWTs, want 0", got)
 	}
-	if got := dsp.SparseTransformCount() - sparseBefore; got != 2 {
+	if got := sparse.Value() - sparseBefore; got != 2 {
 		t.Fatalf("Classify ran %d sparse evaluations, want 2 (group + instr)", got)
 	}
 
 	before = full.Value()
-	sparseBefore = dsp.SparseTransformCount()
+	sparseBefore = sparse.Value()
 	if _, err := d.Disassemble(traces); err != nil {
 		t.Fatal(err)
 	}
 	if got := full.Value() - before; got != 0 {
 		t.Fatalf("Disassemble of %d traces ran %d full CWTs, want 0", len(traces), got)
 	}
-	if got := dsp.SparseTransformCount() - sparseBefore; got != uint64(2*len(traces)) {
+	if got := sparse.Value() - sparseBefore; got != int64(2*len(traces)) {
 		t.Fatalf("Disassemble of %d traces ran %d sparse evaluations, want %d", len(traces), got, 2*len(traces))
 	}
 }
 
 // TestTrainOneTransformPerTrace pins the cost invariant of training: every
 // level runs exactly one full CWT per training trace that survives
-// ingestion — FitPipeline's statistics pass — and its classifier trains on
-// the features FitPipeline returns instead of transforming the set again.
+// ingestion — FitPipelineCtx's statistics pass — and its classifier trains on
+// the features FitPipelineCtx returns instead of transforming the set again.
 func TestTrainOneTransformPerTrace(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Programs, cfg.TracesPerProgram = 2, 4

@@ -246,13 +246,6 @@ func OpenTemplate(path string) (*Template, error) {
 // TraceLen answers from the header alone — no sections are touched.
 func (t *Template) TraceLen() int { return t.f.HeaderState().Group.Pipe.TraceLen }
 
-// Materialized reports whether the Disassembler has been built.
-func (t *Template) Materialized() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done && t.err == nil && t.d != nil
-}
-
 // ResidentBytes reports the decoded section bytes currently attributed to
 // this handle.
 func (t *Template) ResidentBytes() int64 { return t.f.ResidentBytes() }

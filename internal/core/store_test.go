@@ -304,3 +304,11 @@ func headErr(tpl *Template) string {
 	}
 	return err.Error()
 }
+
+// Materialized reports whether the Disassembler has been built. Only the
+// lazy-residency tests ask.
+func (t *Template) Materialized() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.done && t.err == nil && t.d != nil
+}

@@ -96,7 +96,7 @@ type jobOut struct {
 	conf [][]int
 }
 
-// Train runs the full acquisition + template-building flow of Fig. 1 on the
+// TrainCtx runs the full acquisition + template-building flow of Fig. 1 on the
 // golden device and returns a ready Disassembler.
 //
 // The eleven template-building jobs (group level, 8 instruction levels, Rd,
@@ -105,14 +105,11 @@ type jobOut struct {
 // concurrently on the parallel.Workers() pool and the resulting templates
 // are identical to a serial run. On failure the lowest-ordered job's error
 // is reported, matching the serial flow.
-func Train(cfg TrainerConfig) (*Disassembler, *TrainReport, error) {
-	return TrainCtx(context.Background(), cfg)
-}
-
-// TrainCtx is Train with cooperative cancellation: the eleven jobs stop being
-// scheduled once ctx is cancelled, jobs already running stop at their next
-// pipeline stage, and the call returns ctx.Err() (a job's own error at a
-// lower index still wins, per parallel.ForErrCtx).
+//
+// Cancellation is cooperative: the eleven jobs stop being scheduled once ctx
+// is cancelled, jobs already running stop at their next pipeline stage, and
+// the call returns ctx.Err() (a job's own error at a lower index still wins,
+// per parallel.ForErrCtx).
 func TrainCtx(ctx context.Context, cfg TrainerConfig) (*Disassembler, *TrainReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -236,7 +233,7 @@ type levelResult struct {
 
 // fitLevel fits one pipeline + classifier pair on a dataset and reports the
 // training-set accuracy and confusion counts. The classifier trains on the
-// features FitPipeline hands back, so each training trace costs one CWT.
+// features FitPipelineCtx hands back, so each training trace costs one CWT.
 // Ingestion first sanitizes the dataset — defective traces (non-finite,
 // constant, wrong length against the configured TraceLen) are rejected
 // per-trace and counted in the returned report, so a few bad captures
@@ -315,20 +312,19 @@ func accuracyFromConfusion(cm [][]int) float64 {
 
 // TrainSubset trains a disassembler restricted to the given classes (still
 // hierarchical: groups that appear among the classes get instruction
-// classifiers). Useful for quick demonstrations and the examples.
+// classifiers). It stays only because scdisbench's set-up calls it; the
+// module trains through TrainSubsetReportCtx (ROADMAP item 1 retires it).
 func TrainSubset(cfg TrainerConfig, classes []avr.Class, withRegisters bool) (*Disassembler, error) {
-	return TrainSubsetCtx(context.Background(), cfg, classes, withRegisters)
-}
-
-// TrainSubsetCtx is TrainSubset with cooperative cancellation (see TrainCtx).
-func TrainSubsetCtx(ctx context.Context, cfg TrainerConfig, classes []avr.Class, withRegisters bool) (*Disassembler, error) {
-	d, _, err := TrainSubsetReportCtx(ctx, cfg, classes, withRegisters)
+	d, _, err := TrainSubsetReportCtx(context.Background(), cfg, classes, withRegisters)
 	return d, err
 }
 
-// TrainSubsetReportCtx is TrainSubsetCtx returning the same TrainReport
-// TrainCtx produces (accuracies, validation counts, per-level confusion,
-// stage timings), restricted to the levels the subset actually trains.
+// TrainSubsetReportCtx trains a disassembler restricted to the given classes
+// (still hierarchical: groups that appear among the classes get instruction
+// classifiers) and returns the same TrainReport TrainCtx produces
+// (accuracies, validation counts, per-level confusion, stage timings),
+// restricted to the levels the subset actually trains. Cancellation works
+// as in TrainCtx.
 func TrainSubsetReportCtx(ctx context.Context, cfg TrainerConfig, classes []avr.Class, withRegisters bool) (*Disassembler, *TrainReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err

@@ -88,7 +88,7 @@ func TestTrainSubsetValidation(t *testing.T) {
 	if _, err := TrainSubset(bad, []avr.Class{avr.OpADD, avr.OpAND}, false); err == nil {
 		t.Fatal("invalid config should fail")
 	}
-	if _, _, err := Train(bad); err == nil {
+	if _, _, err := TrainCtx(context.Background(), bad); err == nil {
 		t.Fatal("invalid config should fail Train too")
 	}
 }
@@ -281,11 +281,11 @@ func TestTrainCtxCancellation(t *testing.T) {
 	preCtx, preCancel := context.WithCancel(context.Background())
 	preCancel()
 	start := time.Now()
-	if _, err := TrainSubsetCtx(preCtx, tinyConfig(), []avr.Class{avr.OpADC, avr.OpAND}, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainSubsetCtx err = %v, want context.Canceled", err)
+	if _, _, err := TrainSubsetReportCtx(preCtx, tinyConfig(), []avr.Class{avr.OpADC, avr.OpAND}, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TrainSubsetReportCtx err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("pre-cancelled TrainSubsetCtx took %v", elapsed)
+		t.Fatalf("pre-cancelled TrainSubsetReportCtx took %v", elapsed)
 	}
 }
 

@@ -134,8 +134,8 @@ type cwtPlan struct {
 // distinct signal length and then only read). A transform leases its two
 // complex work buffers from one package-level pool shared by every CWT and
 // returns them before it returns, so a parked buffer keeps no CWT reachable.
-// TransformBatch and TransformFlatBatch run one task per trace on the
-// package-wide parallel.Workers() pool.
+// TransformFlatBatchCtx runs one task per trace on the package-wide
+// parallel.Workers() pool.
 type CWT struct {
 	bank    BankConfig
 	scales  []float64
@@ -151,13 +151,6 @@ type CWT struct {
 // capacity). It is package-level so that a buffer parked in it, or in its
 // victim cache across a GC, pins no CWT and no kernel-spectrum plan.
 var scratch sync.Pool
-
-// NewCWT builds a transform with nScales scales geometrically spaced between
-// minScale and maxScale (in samples) at the default ω0; see NewCWTBank for
-// the named-configuration form. The paper's configuration is NewCWT(50, 2, 80).
-func NewCWT(nScales int, minScale, maxScale float64) (*CWT, error) {
-	return NewCWTBank(BankConfig{NumScales: nScales, MinScale: minScale, MaxScale: maxScale})
-}
 
 // NewCWTBank builds a transform from a named bank configuration. The zero
 // value (and a zero Omega0) resolves to DefaultBank, so configurations
@@ -253,14 +246,6 @@ func putBuf(b []complex128) {
 // NumScales returns the number of scales in the bank.
 func (c *CWT) NumScales() int { return len(c.scales) }
 
-// Scale returns the scale (in samples) of scale index j.
-func (c *CWT) Scale(j int) float64 { return c.scales[j] }
-
-// CenterFrequency returns the center frequency (cycles/sample) of scale j.
-func (c *CWT) CenterFrequency(j int) float64 {
-	return c.bank.Omega0 / (2 * math.Pi * c.scales[j])
-}
-
 // morletKernel returns the sampled, conjugated, time-reversed Morlet wavelet
 // at scale s and center frequency omega0, normalized by 1/√s, ready for
 // linear convolution.
@@ -353,16 +338,11 @@ func (c *CWT) transformInto(x []float64, flat []float64) {
 	transformCount.Add(1)
 }
 
-// TransformFlatBatch computes the flattened scalogram of every trace, one
+// TransformFlatBatchCtx computes the flattened scalogram of every trace, one
 // task per trace on the parallel.Workers() pool. The result is index-aligned
 // with xs and identical to calling TransformFlat per trace. All traces must
-// share one length.
-func (c *CWT) TransformFlatBatch(xs [][]float64) ([][]float64, error) {
-	return c.TransformFlatBatchCtx(context.Background(), xs)
-}
-
-// TransformFlatBatchCtx is TransformFlatBatch with cooperative cancellation:
-// once ctx is cancelled no new trace starts and the call returns ctx.Err().
+// share one length. Once ctx is cancelled no new trace starts and the call
+// returns ctx.Err().
 // Cancellation latency is bounded by one trace's transform, not by the
 // batch size. Each task leases and returns its own scratch, so the batch
 // holds no buffer beyond the traces in flight.
@@ -385,65 +365,4 @@ func (c *CWT) TransformFlatBatchCtx(ctx context.Context, xs [][]float64) ([][]fl
 		return nil, err
 	}
 	return out, nil
-}
-
-// TransformBatch is TransformFlatBatch with each scalogram reshaped to the
-// Scales×len(x) row view of Transform.
-func (c *CWT) TransformBatch(xs [][]float64) ([][][]float64, error) {
-	flats, err := c.TransformFlatBatch(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][][]float64, len(xs))
-	for i, flat := range flats {
-		n := 0
-		if len(c.scales) > 0 {
-			n = len(flat) / len(c.scales)
-		}
-		rows := make([][]float64, len(c.scales))
-		for j := range rows {
-			rows[j] = flat[j*n : (j+1)*n]
-		}
-		out[i] = rows
-	}
-	return out, nil
-}
-
-// AlignByCrossCorrelation shifts trace so that its cross-correlation with
-// ref is maximized within ±maxShift samples, returning the aligned copy and
-// the shift that was applied. Out-of-range samples are filled with the edge
-// value. The paper uses wavelet-domain alignment; integer-shift
-// cross-correlation is the time-domain equivalent for synthetic traces.
-func AlignByCrossCorrelation(ref, trace []float64, maxShift int) ([]float64, int) {
-	if len(ref) != len(trace) || maxShift <= 0 {
-		out := make([]float64, len(trace))
-		copy(out, trace)
-		return out, 0
-	}
-	best, bestShift := math.Inf(-1), 0
-	for sh := -maxShift; sh <= maxShift; sh++ {
-		var c float64
-		for i := range ref {
-			j := i + sh
-			if j < 0 || j >= len(trace) {
-				continue
-			}
-			c += ref[i] * trace[j]
-		}
-		if c > best {
-			best, bestShift = c, sh
-		}
-	}
-	out := make([]float64, len(trace))
-	for i := range out {
-		j := i + bestShift
-		if j < 0 {
-			j = 0
-		}
-		if j >= len(trace) {
-			j = len(trace) - 1
-		}
-		out[i] = trace[j]
-	}
-	return out, bestShift
 }

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -80,7 +81,7 @@ func TestTransformFlatBatchMatchesSerial(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	for _, w := range []int{1, 2, 4} {
 		parallel.SetWorkers(w)
-		got, err := c.TransformFlatBatch(xs)
+		got, err := c.TransformFlatBatchCtx(context.Background(), xs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -92,7 +93,7 @@ func TestTransformFlatBatchMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.TransformFlatBatch([][]float64{xs[0], xs[0][:10], xs[0]}); err == nil {
+	if _, err := c.TransformFlatBatchCtx(context.Background(), [][]float64{xs[0], xs[0][:10], xs[0]}); err == nil {
 		t.Fatal("mixed-length batch should fail")
 	}
 }
@@ -118,7 +119,7 @@ func TestTransformCountHook(t *testing.T) {
 		t.Fatalf("2 single transforms counted as %d", got)
 	}
 	before = transforms.Value()
-	if _, err := c.TransformFlatBatch([][]float64{x, x, x}); err != nil {
+	if _, err := c.TransformFlatBatchCtx(context.Background(), [][]float64{x, x, x}); err != nil {
 		t.Fatal(err)
 	}
 	if got := transforms.Value() - before; got != 3 {

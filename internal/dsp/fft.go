@@ -1,8 +1,8 @@
 // Package dsp implements the signal-processing substrate of the
-// disassembler: a radix-2 FFT (with Bluestein's algorithm for arbitrary
-// lengths), linear convolution, and the continuous wavelet transform (CWT)
-// that maps a 315-sample power trace into the 50×315 time–frequency plane
-// the paper selects features from.
+// disassembler: a planned radix-2 FFT and the continuous wavelet transform
+// (CWT) that maps a 315-sample power trace into the 50×315 time–frequency
+// plane the paper selects features from, plus the sparse per-cell form of
+// that transform inference runs.
 package dsp
 
 import (
@@ -11,38 +11,6 @@ import (
 	"math/cmplx"
 	"sync/atomic"
 )
-
-// FFT computes the discrete Fourier transform of x in place-compatible
-// fashion (a new slice is returned; x is not modified). Any length is
-// supported: powers of two use the iterative radix-2 algorithm, other
-// lengths use Bluestein's chirp-z transform.
-func FFT(x []complex128) []complex128 {
-	return dft(x, false)
-}
-
-// IFFT computes the inverse DFT (with 1/N normalization).
-func IFFT(x []complex128) []complex128 {
-	y := dft(x, true)
-	n := complex(float64(len(x)), 0)
-	for i := range y {
-		y[i] /= n
-	}
-	return y
-}
-
-func dft(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		y := make([]complex128, n)
-		copy(y, x)
-		radix2(y, inverse)
-		return y
-	}
-	return bluestein(x, inverse)
-}
 
 // fftPlan is the schedule of one power-of-two size: the bit-reversal
 // swaps and every stage's twiddle factors in both directions. It is built
@@ -123,82 +91,6 @@ func radix2(y []complex128, inverse bool) {
 			}
 		}
 	}
-}
-
-// bluestein computes an arbitrary-length DFT via the chirp-z transform,
-// expressed as a circular convolution of power-of-two length.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: w[k] = exp(sign·iπk²/n). k² mod 2n avoids precision loss for
-	// large k.
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		chirp[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(kk)/float64(n)))
-	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		inv := cmplx.Conj(chirp[k])
-		b[k] = inv
-		if k > 0 {
-			b[m-k] = inv
-		}
-	}
-	radix2(a, false)
-	radix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	radix2(a, true)
-	invM := complex(1/float64(m), 0)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = a[k] * invM * chirp[k]
-	}
-	return out
-}
-
-// Convolve computes the full linear convolution of a and b
-// (length len(a)+len(b)-1) using the FFT.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	n := len(a) + len(b) - 1
-	m := 1
-	for m < n {
-		m <<= 1
-	}
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	radix2(fa, false)
-	radix2(fb, false)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	radix2(fa, true)
-	out := make([]float64, n)
-	invM := 1 / float64(m)
-	for i := 0; i < n; i++ {
-		out[i] = real(fa[i]) * invM
-	}
-	return out
 }
 
 // NextPow2 returns the smallest power of two >= n (and at least 1).

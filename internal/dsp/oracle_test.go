@@ -178,7 +178,7 @@ func TestTransformBatchDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			parallel.SetWorkers(workers)
-			got, err := c.TransformFlatBatch(xs)
+			got, err := c.TransformFlatBatchCtx(context.Background(), xs)
 			if err != nil {
 				t.Fatalf("TransformFlatBatch with %d workers: %v", workers, err)
 			}

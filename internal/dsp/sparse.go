@@ -44,16 +44,6 @@ func init() {
 	})
 }
 
-// SparseTransformCount returns the cumulative number of traces the sparse
-// path evaluated since process start: one per Values/ValuesInto call, two
-// per ValuesInto2 call. Together with the dsp.cwt.transforms counter it lets
-// tests assert which transform a classification ran.
-func SparseTransformCount() uint64 { return uint64(sparseTransformCount.Value()) }
-
-// SparseCellCount returns the cumulative number of time–frequency cells
-// computed by the sparse path since process start.
-func SparseCellCount() uint64 { return uint64(sparseCellCount.Value()) }
-
 // SparseCWT evaluates a fixed cell set of the magnitude scalogram for traces
 // of one fixed length. Build one with CWT.Sparse and reuse it for every
 // trace; construction precomputes the per-cell kernel windows.
@@ -218,7 +208,8 @@ func (s *SparseCWT) ValuesInto2(d0, d1, x0, x1 []float64) error {
 	return nil
 }
 
-// Values is ValuesInto with a freshly allocated output.
+// Values is ValuesInto with a freshly allocated output. It stays only
+// because scdisbench's replay calls it (ROADMAP item 1 retires it).
 func (s *SparseCWT) Values(x []float64) ([]float64, error) {
 	dst := make([]float64, len(s.cells))
 	if err := s.ValuesInto(dst, x); err != nil {

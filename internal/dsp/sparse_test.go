@@ -183,32 +183,32 @@ func TestSparseCountersNotFullCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full0, sp0, cells0 := transformCount.Value(), SparseTransformCount(), SparseCellCount()
+	full0, sp0, cells0 := transformCount.Value(), uint64(sparseTransformCount.Value()), uint64(sparseCellCount.Value())
 	if _, err := s.Values(x); err != nil {
 		t.Fatal(err)
 	}
 	if got := transformCount.Value() - full0; got != 0 {
 		t.Fatalf("sparse evaluation bumped the full-transform counter by %d", got)
 	}
-	if got := SparseTransformCount() - sp0; got != 1 {
+	if got := uint64(sparseTransformCount.Value()) - sp0; got != 1 {
 		t.Fatalf("sparse transform counter delta = %d, want 1", got)
 	}
-	if got := SparseCellCount() - cells0; got != uint64(len(cells)) {
+	if got := uint64(sparseCellCount.Value()) - cells0; got != uint64(len(cells)) {
 		t.Fatalf("sparse cell counter delta = %d, want %d", got, len(cells))
 	}
 
 	// A two-trace pass counts as two evaluations of every cell.
-	full0, sp0, cells0 = transformCount.Value(), SparseTransformCount(), SparseCellCount()
+	full0, sp0, cells0 = transformCount.Value(), uint64(sparseTransformCount.Value()), uint64(sparseCellCount.Value())
 	if err := s.ValuesInto2(make([]float64, len(cells)), make([]float64, len(cells)), x, g.Trace(64)); err != nil {
 		t.Fatal(err)
 	}
 	if got := transformCount.Value() - full0; got != 0 {
 		t.Fatalf("two-trace sparse evaluation bumped the full-transform counter by %d", got)
 	}
-	if got := SparseTransformCount() - sp0; got != 2 {
+	if got := uint64(sparseTransformCount.Value()) - sp0; got != 2 {
 		t.Fatalf("two-trace sparse transform counter delta = %d, want 2", got)
 	}
-	if got := SparseCellCount() - cells0; got != 2*uint64(len(cells)) {
+	if got := uint64(sparseCellCount.Value()) - cells0; got != 2*uint64(len(cells)) {
 		t.Fatalf("two-trace sparse cell counter delta = %d, want %d", got, 2*len(cells))
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -52,7 +53,7 @@ func AblationNoKLSelection(sc Scale) (*AblationResult, error) {
 	// Arm A: KL-selected pipeline.
 	pc := features.CSAPipelineConfig()
 	pc.NumComponents = 20
-	pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(classes), pc)
+	pipe, X, err := features.FitPipelineCtx(context.Background(), train.Traces, train.Labels, train.Programs, len(classes), pc)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,7 @@ func AblationNoKLSelection(sc Scale) (*AblationResult, error) {
 		return nil, err
 	}
 	startA := time.Now()
-	Xt, err := pipe.ExtractAll(test.Traces)
+	Xt, err := pipe.ExtractAllCtx(context.Background(), test.Traces)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +98,7 @@ func AblationNoKLSelection(sc Scale) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pca, err := features.FitPCA(Xfull, 20)
+	pca, err := features.FitPCA(context.Background(), Xfull, 20)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +195,7 @@ func AblationFlatVsHierarchical(sc Scale) (*AblationResult, error) {
 	}
 	trainG := relabel(train, func(l int) (int, bool) { return groupOf[l], true })
 	pcG := clampPCs(pcFlat, trainG)
-	pipeG, Xg, err := features.FitPipeline(trainG.Traces, trainG.Labels, trainG.Programs, len(groups), pcG)
+	pipeG, Xg, err := features.FitPipelineCtx(context.Background(), trainG.Traces, trainG.Labels, trainG.Programs, len(groups), pcG)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +216,7 @@ func AblationFlatVsHierarchical(sc Scale) (*AblationResult, error) {
 			return withinOf[l], true
 		})
 		pcL := clampPCs(pcFlat, sub)
-		pipeL, Xl, err := features.FitPipeline(sub.Traces, sub.Labels, sub.Programs, len(perGroupClasses[gi]), pcL)
+		pipeL, Xl, err := features.FitPipelineCtx(context.Background(), sub.Traces, sub.Labels, sub.Programs, len(perGroupClasses[gi]), pcL)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +343,7 @@ func AblationTimeDomain(sc Scale) (*AblationResult, error) {
 	for _, tr := range ds.Traces {
 		Xb = append(Xb, extract(tr))
 	}
-	pca, err := features.FitPCA(Xb, 3)
+	pca, err := features.FitPCA(context.Background(), Xb, 3)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -65,11 +66,11 @@ func sweepPCs(title string, ds *power.Dataset, nClasses int, pcs []int, sc Scale
 	for _, k := range pcs {
 		pc := features.CSAPipelineConfig()
 		pc.NumComponents = k
-		pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, nClasses, pc)
+		pipe, X, err := features.FitPipelineCtx(context.Background(), train.Traces, train.Labels, train.Programs, nClasses, pc)
 		if err != nil {
 			return nil, err
 		}
-		Xt, err := pipe.ExtractAll(test.Traces)
+		Xt, err := pipe.ExtractAllCtx(context.Background(), test.Traces)
 		if err != nil {
 			return nil, err
 		}
@@ -170,11 +171,11 @@ func Fig6(sc Scale, vars []int) (*Fig6Result, error) {
 		// General method: unified DNVP + PCA down to v components.
 		pcGen := features.CSAPipelineConfig()
 		pcGen.NumComponents = v
-		pipeGen, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(g1), pcGen)
+		pipeGen, X, err := features.FitPipelineCtx(context.Background(), train.Traces, train.Labels, train.Programs, len(g1), pcGen)
 		if err != nil {
 			return nil, err
 		}
-		Xt, err := pipeGen.ExtractAll(test.Traces)
+		Xt, err := pipeGen.ExtractAllCtx(context.Background(), test.Traces)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +183,7 @@ func Fig6(sc Scale, vars []int) (*Fig6Result, error) {
 		pcVote := features.CSAPipelineConfig()
 		pcVote.TopPerPair = v
 		pcVote.NumComponents = v
-		pipeVote, _, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, len(g1), pcVote)
+		pipeVote, _, err := features.FitPipelineCtx(context.Background(), train.Traces, train.Labels, train.Programs, len(g1), pcVote)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +223,7 @@ func Fig6(sc Scale, vars []int) (*Fig6Result, error) {
 // on the parallel.Workers() pool into index-owned slots.
 func pairVectors(pipe *features.Pipeline, traces [][]float64, maxVars int) ([][][]float64, error) {
 	out := make([][][]float64, len(traces))
-	err := parallel.ForErr(len(traces), func(i int) error {
+	err := parallel.ForErrCtx(context.Background(), len(traces), func(i int) error {
 		flat, err := pipe.RawScalogram(traces[i])
 		if err != nil {
 			return err
@@ -438,7 +439,7 @@ func Table4(sc Scale) (*Table4Result, error) {
 	res := &Table4Result{Rows: map[string][]float64{}}
 	for _, name := range []string{"QDA", "SVM"} {
 		pc := csaPipeline()
-		pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, 2, pc)
+		pipe, X, err := features.FitPipelineCtx(context.Background(), train.Traces, train.Labels, train.Programs, 2, pc)
 		if err != nil {
 			return nil, err
 		}
@@ -456,7 +457,7 @@ func Table4(sc Scale) (*Table4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			Xt, err := pipe.ExtractAll(test.Traces)
+			Xt, err := pipe.ExtractAllCtx(context.Background(), test.Traces)
 			if err != nil {
 				return nil, err
 			}
@@ -667,7 +668,7 @@ func MalwareObserved(sc Scale, onTrained func(*core.Disassembler) error) (*Malwa
 	cfg.RegisterPrograms = sc.Programs
 	cfg.RegisterTracesPerProgram = sc.TracesPerProgram
 	cfg.Seed = sc.Seed
-	d, err := core.TrainSubset(cfg, []avr.Class{avr.OpEOR, avr.OpMOV}, true)
+	d, _, err := core.TrainSubsetReportCtx(context.Background(), cfg, []avr.Class{avr.OpEOR, avr.OpMOV}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -704,7 +705,7 @@ func MalwareObserved(sc Scale, onTrained func(*core.Disassembler) error) (*Malwa
 				// decisions can be labeled against true ground truth — not
 				// just the golden flow, which deliberately differs from the
 				// malicious stream.
-				scored, err := d.DisassembleScored(traces)
+				scored, err := d.DisassembleScoredCtx(context.Background(), traces)
 				if err != nil {
 					return nil, "", err
 				}
@@ -722,7 +723,7 @@ func MalwareObserved(sc Scale, onTrained func(*core.Disassembler) error) (*Malwa
 					sink.Calibration.Observe(sd.Confidence, !wrong[i])
 				}
 			} else {
-				if decs, err = d.Disassemble(traces); err != nil {
+				if decs, err = d.DisassembleCtx(context.Background(), traces); err != nil {
 					return nil, "", err
 				}
 			}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,18 +42,6 @@ func DefaultScale() Scale {
 	}
 }
 
-// TinyScale is for benchmarks and smoke tests.
-func TinyScale() Scale {
-	return Scale{
-		Programs:         3,
-		CSAPrograms:      5,
-		TracesPerProgram: 10,
-		TestTraces:       40,
-		Severity:         5,
-		Seed:             42,
-	}
-}
-
 // PaperScale matches the acquisition counts of the paper. Expect long runs.
 func PaperScale() Scale {
 	return Scale{
@@ -65,20 +54,9 @@ func PaperScale() Scale {
 	}
 }
 
-// classifierSet returns fresh instances of the classifier families the
-// paper compares (Fig. 5/6).
-func classifierSet() []ml.Classifier {
-	return []ml.Classifier{
-		ml.NewLDA(),
-		ml.NewQDA(),
-		ml.NewSVM(10, ml.RBFKernel{Gamma: 0.1}),
-		ml.NewGaussianNB(),
-	}
-}
-
 // fitEval fits a pipeline + classifier on train and evaluates on test.
 func fitEval(train, test *power.Dataset, nClasses int, pc features.PipelineConfig, clf ml.Classifier) (trainAcc, testAcc float64, err error) {
-	pipe, X, err := features.FitPipeline(train.Traces, train.Labels, train.Programs, nClasses, pc)
+	pipe, X, err := features.FitPipelineCtx(context.Background(), train.Traces, train.Labels, train.Programs, nClasses, pc)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -89,7 +67,7 @@ func fitEval(train, test *power.Dataset, nClasses int, pc features.PipelineConfi
 	if err != nil {
 		return 0, 0, err
 	}
-	Xt, err := pipe.ExtractAll(test.Traces)
+	Xt, err := pipe.ExtractAllCtx(context.Background(), test.Traces)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -240,7 +218,7 @@ func Fig2(sc Scale) (*Fig2Result, error) {
 		return nil, err
 	}
 	pc := features.CSAPipelineConfig()
-	pipe, _, err := features.FitPipeline(dsG1.Traces, dsG1.Labels, dsG1.Programs, len(g1), pc)
+	pipe, _, err := features.FitPipelineCtx(context.Background(), dsG1.Traces, dsG1.Labels, dsG1.Programs, len(g1), pc)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,19 @@ import (
 	"repro/internal/obs"
 )
 
+// TinyScale is the smallest scale the experiments still run at, for smoke
+// tests.
+func TinyScale() Scale {
+	return Scale{
+		Programs:         3,
+		CSAPrograms:      5,
+		TracesPerProgram: 10,
+		TestTraces:       40,
+		Severity:         5,
+		Seed:             42,
+	}
+}
+
 func TestTable2MatchesPaper(t *testing.T) {
 	r := Table2()
 	want := [8]int{12, 10, 13, 20, 24, 15, 12, 6}
@@ -136,8 +149,8 @@ func TestMalwareTiny(t *testing.T) {
 		t.Fatalf("clean stream raised a register alarm:\n%s", r)
 	}
 	// 2 instructions × 9 runs × 2 streams.
-	if want := int64(2 * 9 * 2); cal.Labeled() != want {
-		t.Fatalf("calibration labeled %d decisions, want %d", cal.Labeled(), want)
+	if want := int64(2 * 9 * 2); cal.Snapshot().Labeled != want {
+		t.Fatalf("calibration labeled %d decisions, want %d", cal.Snapshot().Labeled, want)
 	}
 	snap := cal.Snapshot()
 	if math.IsNaN(snap.ECE) || snap.ECE < 0 || snap.ECE > 1 {

@@ -30,14 +30,6 @@ type FeatureBaseline struct {
 	Std   []float64
 }
 
-// NumFeatures returns the drift-vector dimensionality (0 for nil).
-func (b *FeatureBaseline) NumFeatures() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.Mean)
-}
-
 // NumDriftFeatures is the drift-vector dimensionality.
 const NumDriftFeatures = 2
 
@@ -46,7 +38,7 @@ const NumDriftFeatures = 2
 var driftFeatureNames = []string{"trace.mean", "trace.std"}
 
 // buildBaseline assembles the baseline from the per-trace time-domain
-// moments accumulated in FitPipeline's first pass.
+// moments accumulated in FitPipelineCtx's first pass.
 func buildBaseline(traceMoments *PointStats) *FeatureBaseline {
 	b := &FeatureBaseline{
 		Names: driftFeatureNames,

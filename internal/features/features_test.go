@@ -3,6 +3,7 @@ package features
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,11 +107,11 @@ func TestBetweenClassKLFindsDiscriminativeScale(t *testing.T) {
 		a = append(a, synthTrace(rng, 0, 0))
 		b = append(b, synthTrace(rng, 1, 0))
 	}
-	sa, err := sel.AccumulateStats(a)
+	sa, err := accumulateStats(sel, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := sel.AccumulateStats(b)
+	sb, err := accumulateStats(sel, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +121,17 @@ func TestBetweenClassKLFindsDiscriminativeScale(t *testing.T) {
 	}
 	// The divergence must be large at the scales matching the two tones and
 	// small at a far-away scale. Find scale indices for each frequency.
+	// The bank's scales are geometric from MinScale to MaxScale; scale s
+	// has the Morlet center frequency ω0/(2πs) cycles/sample.
+	bank := sel.CWT.Bank()
+	centerFrequency := func(j int) float64 {
+		s := bank.MinScale * math.Pow(bank.MaxScale/bank.MinScale, float64(j)/float64(bank.NumScales-1))
+		return bank.Omega0 / (2 * math.Pi * s)
+	}
 	scaleFor := func(f float64) int {
 		best, bd := 0, math.Inf(1)
 		for j := 0; j < sel.CWT.NumScales(); j++ {
-			if d := math.Abs(sel.CWT.CenterFrequency(j) - f); d < bd {
+			if d := math.Abs(centerFrequency(j) - f); d < bd {
 				best, bd = j, d
 			}
 		}
@@ -152,7 +160,7 @@ func TestNotVaryingMaskFlagsOffsetSensitivePoints(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			trs = append(trs, synthTrace(rng, 0, 3*float64(p)))
 		}
-		ps, err := sel.AccumulateStats(trs)
+		ps, err := accumulateStats(sel, trs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +201,8 @@ func TestSelectPairAndUnion(t *testing.T) {
 		a = append(a, synthTrace(rng, 0, 0))
 		b = append(b, synthTrace(rng, 1, 0))
 	}
-	sa, _ := sel.AccumulateStats(a)
-	sb, _ := sel.AccumulateStats(b)
+	sa, _ := accumulateStats(sel, a)
+	sb, _ := accumulateStats(sel, b)
 	pf, err := sel.SelectPair(0, 1, sa, sb, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +260,7 @@ func TestFitPCAAndTransform(t *testing.T) {
 		v := rng.NormFloat64() * 3
 		X = append(X, []float64{v + rng.NormFloat64()*0.1, v + rng.NormFloat64()*0.1, rng.NormFloat64() * 0.1})
 	}
-	pca, err := FitPCA(X, 3)
+	pca, err := FitPCA(context.Background(), X, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +282,14 @@ func TestFitPCAAndTransform(t *testing.T) {
 	if _, err := pca.Transform([]float64{1}); err == nil {
 		t.Fatal("want dim error")
 	}
-	if _, err := FitPCA(X, 0); err == nil {
+	if _, err := FitPCA(context.Background(), X, 0); err == nil {
 		t.Fatal("want k>=1 error")
 	}
-	if _, err := FitPCA(X[:1], 1); err == nil {
+	if _, err := FitPCA(context.Background(), X[:1], 1); err == nil {
 		t.Fatal("want sample-count error")
 	}
 	// k > p clamps.
-	pca2, err := FitPCA(X, 10)
+	pca2, err := FitPCA(context.Background(), X, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +303,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 20, 3, false)
 	cfg := DefaultPipelineConfig()
 	cfg.NumComponents = 3
-	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +313,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if pl.NumPoints() == 0 || pl.NumPoints() > 5 {
 		t.Fatalf("NumPoints = %d, want 1..5 for a single pair", pl.NumPoints())
 	}
-	if pl.PairCount() != 1 || pl.NumClasses() != 2 {
-		t.Fatalf("pairs=%d classes=%d", pl.PairCount(), pl.NumClasses())
+	if pl.PairCount() != 1 || pl.nClasses != 2 {
+		t.Fatalf("pairs=%d classes=%d", pl.PairCount(), pl.nClasses)
 	}
 	// Features must separate the two classes linearly: check the projected
 	// class means are further apart than the average within-class spread.
@@ -359,17 +367,17 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestPipelineValidation(t *testing.T) {
 	cfg := DefaultPipelineConfig()
-	if _, _, err := FitPipeline(nil, nil, nil, 2, cfg); err == nil {
+	if _, _, err := FitPipelineCtx(context.Background(), nil, nil, nil, 2, cfg); err == nil {
 		t.Fatal("want error for empty input")
 	}
 	tr := [][]float64{make([]float64, 50), make([]float64, 50)}
-	if _, _, err := FitPipeline(tr, []int{0, 1}, []int{0}, 2, cfg); err == nil {
+	if _, _, err := FitPipelineCtx(context.Background(), tr, []int{0, 1}, []int{0}, 2, cfg); err == nil {
 		t.Fatal("want error for length mismatch")
 	}
-	if _, _, err := FitPipeline(tr, []int{0, 5}, []int{0, 0}, 2, cfg); err == nil {
+	if _, _, err := FitPipelineCtx(context.Background(), tr, []int{0, 5}, []int{0, 0}, 2, cfg); err == nil {
 		t.Fatal("want error for out-of-range label")
 	}
-	if _, _, err := FitPipeline(tr, []int{0, 0}, []int{0, 0}, 1, cfg); err == nil {
+	if _, _, err := FitPipelineCtx(context.Background(), tr, []int{0, 0}, []int{0, 0}, 1, cfg); err == nil {
 		t.Fatal("want error for single class")
 	}
 }
@@ -381,7 +389,7 @@ func TestCSAPipelineCancelsOffsetShift(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 20, 4, true)
 	cfg := CSAPipelineConfig()
 	cfg.NumComponents = 2
-	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +478,7 @@ func TestNotVaryingMaskReportsNaNPoints(t *testing.T) {
 
 func TestFitPCARejectsNonFinite(t *testing.T) {
 	X := [][]float64{{1, 2}, {3, math.NaN()}, {5, 6}}
-	if _, err := FitPCA(X, 2); !errors.Is(err, stats.ErrDegenerate) {
+	if _, err := FitPCA(context.Background(), X, 2); !errors.Is(err, stats.ErrDegenerate) {
 		t.Fatalf("FitPCA err = %v, want stats.ErrDegenerate", err)
 	}
 }
@@ -484,7 +492,7 @@ func TestFitPCADropsZeroVarianceComponents(t *testing.T) {
 	for i := range X {
 		X[i] = []float64{rng.NormFloat64(), 7.5, rng.NormFloat64() * 2}
 	}
-	pc, err := FitPCA(X, 3)
+	pc, err := FitPCA(context.Background(), X, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +515,7 @@ func TestFitPCADropsZeroVarianceComponents(t *testing.T) {
 
 func TestPCATransformRejectsCorruptedMean(t *testing.T) {
 	X := [][]float64{{1, 2}, {3, 4}, {5, 7}}
-	pc, err := FitPCA(X, 2)
+	pc, err := FitPCA(context.Background(), X, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +555,7 @@ func TestFitPipelineCtxCancellation(t *testing.T) {
 func TestExtractAllCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	traces, labels, programs := synthDataset(rng, 10, 2, false)
-	pl, _, err := FitPipeline(traces, labels, programs, 2, DefaultPipelineConfig())
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,4 +564,67 @@ func TestExtractAllCtxCancellation(t *testing.T) {
 	if _, err := pl.ExtractAllCtx(ctx, traces); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// accumulateStats computes the per-point Gaussian statistics of a set of
+// traces, as FitPipelineCtx's statistics pass does for one class: the
+// scalograms are computed in parallel and accumulated serially in trace
+// order, so the result does not depend on the worker count.
+func accumulateStats(s *Selector, traces [][]float64) (*PointStats, error) {
+	if len(traces) < 2 {
+		return nil, errors.New("features: need at least 2 traces for statistics")
+	}
+	for _, tr := range traces {
+		if len(tr) != s.TraceLen {
+			return nil, fmt.Errorf("features: trace length %d, want %d", len(tr), s.TraceLen)
+		}
+	}
+	ps := NewPointStats(s.numPoints())
+	flats, err := s.CWT.TransformFlatBatchCtx(context.Background(), traces)
+	if err != nil {
+		return nil, err
+	}
+	for _, flat := range flats {
+		if err := ps.Add(flat); err != nil {
+			return nil, err
+		}
+	}
+	return ps, nil
+}
+
+// ExplainedVariance returns the fraction of total variance captured by the
+// first m components (m ≤ k); the total is taken over all p directions, so
+// callers should fit with k = p when they need exact ratios. Only the PCA
+// tests ask for it.
+func (pc *PCA) ExplainedVariance(m int) float64 {
+	if m > len(pc.EigVals) {
+		m = len(pc.EigVals)
+	}
+	var kept, total float64
+	for i, v := range pc.EigVals {
+		if v < 0 {
+			v = 0
+		}
+		if i < m {
+			kept += v
+		}
+		total += v
+	}
+	if total == 0 {
+		return 0
+	}
+	return kept / total
+}
+
+// PairVector slices a pair-specific feature vector (the paper's x_{i,j} for
+// majority voting) out of the unified raw feature vector of a trace.
+// maxVars truncates to the strongest maxVars points (0 = all). Only these
+// tests slice one pair from a raw trace; the voting experiment calls
+// PairVectorFromScalogram with one scalogram per trace.
+func (pl *Pipeline) PairVector(pair int, trace []float64, maxVars int) ([]float64, error) {
+	flat, err := pl.RawScalogram(trace)
+	if err != nil {
+		return nil, err
+	}
+	return pl.PairVectorFromScalogram(pair, flat, maxVars)
 }

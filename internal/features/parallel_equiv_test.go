@@ -1,10 +1,13 @@
 package features
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/testkit"
 )
@@ -16,7 +19,7 @@ func fitAt(t *testing.T, workers int, cfg PipelineConfig) (*Pipeline, [][]float6
 	rng := rand.New(rand.NewSource(11))
 	traces, labels, programs := synthDataset(rng, 6, 3, true)
 	parallel.SetWorkers(workers)
-	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +59,12 @@ func TestFitPipelineParallelEquivalence(t *testing.T) {
 				}
 			}
 		}
-		sf, err := serial.ExtractAll(traces)
+		sf, err := serial.ExtractAllCtx(context.Background(), traces)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parallel.SetWorkers(4)
-		pf, err := par.ExtractAll(traces)
+		pf, err := par.ExtractAllCtx(context.Background(), traces)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,15 +78,12 @@ func TestFitPipelineParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestFitPCASubspaceParallelEquivalence fits a PCA wider than jacobiMaxDim,
-// so block power iteration runs both of its products on the pool, and
-// requires components and eigenvalues bitwise equal at 1 and 4 workers.
-// Every seventh column is constant and centres to exact zeros, which the
-// products skip.
-func TestFitPCASubspaceParallelEquivalence(t *testing.T) {
-	defer parallel.SetWorkers(0)
+// widePCAInput is a 40×(jacobiMaxDim+90) input, so FitPCA takes the
+// subspace path and runs both of its products on the pool. Every seventh
+// column is constant and centres to exact zeros, which the products skip.
+func widePCAInput() [][]float64 {
 	rng := rand.New(rand.NewSource(31))
-	const n, p, k = 40, jacobiMaxDim + 90, 6
+	const n, p = 40, jacobiMaxDim + 90
 	X := make([][]float64, n)
 	for i := range X {
 		X[i] = make([]float64, p)
@@ -94,9 +94,19 @@ func TestFitPCASubspaceParallelEquivalence(t *testing.T) {
 			}
 		}
 	}
+	return X
+}
+
+// TestFitPCASubspaceParallelEquivalence fits a PCA wider than jacobiMaxDim
+// and requires components and eigenvalues bitwise equal at 1 and 4
+// workers.
+func TestFitPCASubspaceParallelEquivalence(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	const k = 6
+	X := widePCAInput()
 	fit := func(workers int) *PCA {
 		parallel.SetWorkers(workers)
-		pc, err := FitPCA(X, k)
+		pc, err := FitPCA(context.Background(), X, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +118,39 @@ func TestFitPCASubspaceParallelEquivalence(t *testing.T) {
 	}
 	testkit.ExactEqual(t, par.Components.Data, serial.Components.Data, "components at 4 workers vs 1")
 	testkit.ExactEqual(t, par.EigVals, serial.EigVals, "eigenvalues at 4 workers vs 1")
+}
+
+// TestFitPCASubspaceCancelled: the subspace fit's pool products run on the
+// fit's context, so a cancelled context stops the fit with its error.
+func TestFitPCASubspaceCancelled(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := FitPCA(ctx, widePCAInput(), 6); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FitPCA under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFitPCASubspaceCreditsSpan: the pool's busy time on the subspace
+// fit's products is credited to the span in the fit's context, as the
+// features.pca stage of a traced training reports it.
+func TestFitPCASubspaceCreditsSpan(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(2)
+	tr := obs.NewTracer()
+	ctx, sp := obs.Span(obs.WithTracer(context.Background(), tr), "features.pca")
+	if _, err := FitPCA(ctx, widePCAInput(), 6); err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	roots := tr.Tree()
+	if len(roots) != 1 {
+		t.Fatalf("tree = %+v", roots)
+	}
+	if roots[0].BusyMS <= 0 || roots[0].Workers != 2 {
+		t.Fatalf("features.pca span: busy %g ms on %d workers, want busy time on 2", roots[0].BusyMS, roots[0].Workers)
+	}
 }
 
 // TestFitPipelineCacheEquivalence forces the chunked recompute path (cache
@@ -123,11 +166,11 @@ func TestFitPipelineCacheEquivalence(t *testing.T) {
 	MaxScalogramCacheBytes = 0
 	uncached, _ := fitAt(t, 4, cfg)
 
-	cf, err := cached.ExtractAll(traces)
+	cf, err := cached.ExtractAllCtx(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uf, err := uncached.ExtractAll(traces)
+	uf, err := uncached.ExtractAllCtx(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +184,7 @@ func TestFitPipelineCacheEquivalence(t *testing.T) {
 }
 
 // TestFitPipelineFeaturesMatchExtractAll pins the classifier inputs
-// FitPipeline hands back to ExtractAll over the same training traces,
+// FitPipelineCtx hands back to ExtractAllCtx over the same training traces,
 // bitwise, with the scalogram cache on and forced off, PerTraceNorm on and
 // off, and Standardize on and off: training on them must be training on
 // what a second CWT pass would compute.
@@ -161,15 +204,15 @@ func TestFitPipelineFeaturesMatchExtractAll(t *testing.T) {
 				cfg := DefaultPipelineConfig()
 				cfg.NumComponents = 4
 				cfg.PerTraceNorm, cfg.Standardize = norm, standardize
-				pl, X, err := FitPipeline(traces, labels, programs, 2, cfg)
+				pl, X, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := pl.ExtractAll(traces)
+				want, err := pl.ExtractAllCtx(context.Background(), traces)
 				if err != nil {
 					t.Fatal(err)
 				}
-				testkit.ExactEqual2D(t, X, want, fmt.Sprintf("cache=%v norm=%v standardize=%v: FitPipeline features vs ExtractAll", cache, norm, standardize))
+				testkit.ExactEqual2D(t, X, want, fmt.Sprintf("cache=%v norm=%v standardize=%v: FitPipelineCtx features vs ExtractAllCtx", cache, norm, standardize))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -30,8 +31,11 @@ const jacobiMaxDim = 400
 // direction carries no signal and its eigenvector is numerically arbitrary,
 // so retaining it would make the projection depend on round-off. Non-finite
 // training features are rejected with a stats.ErrDegenerate wrapped error —
-// a single NaN would otherwise contaminate the whole covariance.
-func FitPCA(X [][]float64, k int) (*PCA, error) {
+// a single NaN would otherwise contaminate the whole covariance. ctx
+// reaches the worker-pool products of the subspace fit: a cancelled context
+// stops it between tasks with ctx.Err(), and a span in ctx is credited with
+// the pool's busy time.
+func FitPCA(ctx context.Context, X [][]float64, k int) (*PCA, error) {
 	if len(X) < 2 {
 		return nil, errors.New("features: PCA needs at least 2 samples")
 	}
@@ -53,7 +57,7 @@ func FitPCA(X [][]float64, k int) (*PCA, error) {
 	}
 	mu := linalg.Mean(M)
 	if p > jacobiMaxDim {
-		pc, err := fitPCASubspace(M, mu, k)
+		pc, err := fitPCASubspace(ctx, M, mu, k)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +116,7 @@ func (pc *PCA) dropZeroVariance() *PCA {
 // V ← orth(Cᵀ(C·V)/(n−1)) with C the centered data matrix. Both products run
 // on the worker pool, split by output row; each output entry is summed in the
 // serial order, so the result does not depend on the worker count.
-func fitPCASubspace(M *linalg.Matrix, mu []float64, k int) (*PCA, error) {
+func fitPCASubspace(ctx context.Context, M *linalg.Matrix, mu []float64, k int) (*PCA, error) {
 	n, p := M.Rows, M.Cols
 	C := M.Clone()
 	for i := 0; i < n; i++ {
@@ -135,11 +139,14 @@ func fitPCASubspace(M *linalg.Matrix, mu []float64, k int) (*PCA, error) {
 	const iters = 12
 	for it := 0; it < iters; it++ {
 		// W = C·V (n×k), then V ← Cᵀ·W scaled.
-		W := mulRows(C, V)
+		W, err := mulRows(ctx, C, V)
+		if err != nil {
+			return nil, err
+		}
 		next := linalg.NewMatrix(p, k)
 		// Each task owns pcaBlock rows of next and walks C's rows in order,
 		// so next[j][c] sums over i exactly as a serial loop would.
-		parallel.For((p+pcaBlock-1)/pcaBlock, func(b int) {
+		err = parallel.ForCtx(ctx, (p+pcaBlock-1)/pcaBlock, func(b int) {
 			lo := b * pcaBlock
 			hi := min(lo+pcaBlock, p)
 			for i := 0; i < n; i++ {
@@ -155,13 +162,19 @@ func fitPCASubspace(M *linalg.Matrix, mu []float64, k int) (*PCA, error) {
 				}
 			}
 		})
+		if err != nil {
+			return nil, err
+		}
 		next.Scale(inv)
 		V = next
 		orthonormalizeColumns(V)
 	}
 	// Rayleigh-quotient eigenvalues: λ_c = ‖C·v_c‖²/(n−1).
 	vals := make([]float64, k)
-	W := mulRows(C, V)
+	W, err := mulRows(ctx, C, V)
+	if err != nil {
+		return nil, err
+	}
 	for c := 0; c < k; c++ {
 		var s float64
 		for i := 0; i < n; i++ {
@@ -187,12 +200,12 @@ const pcaBlock = 64
 // and that traffic, not arithmetic, bounded the product on two workers.
 const mulBlock = 8
 
-// mulRows returns C·V on the worker pool, mulBlock rows per task. Each row
-// is summed in Matrix.Mul's order (zero entries of C skipped), so the
-// product is Mul's bit for bit.
-func mulRows(C, V *linalg.Matrix) *linalg.Matrix {
+// mulRows returns C·V on the worker pool, mulBlock rows per task. Each
+// entry sums over C's columns in order, skipping zero entries of C, so the
+// product does not depend on the worker count.
+func mulRows(ctx context.Context, C, V *linalg.Matrix) (*linalg.Matrix, error) {
 	W := linalg.NewMatrix(C.Rows, V.Cols)
-	parallel.For((C.Rows+mulBlock-1)/mulBlock, func(b int) {
+	err := parallel.ForCtx(ctx, (C.Rows+mulBlock-1)/mulBlock, func(b int) {
 		lo := b * mulBlock
 		hi := min(lo+mulBlock, C.Rows)
 		for r := 0; r < C.Cols; r++ {
@@ -209,7 +222,7 @@ func mulRows(C, V *linalg.Matrix) *linalg.Matrix {
 			}
 		}
 	})
-	return W
+	return W, err
 }
 
 // orthonormalizeColumns runs modified Gram–Schmidt over the columns of V.
@@ -287,27 +300,4 @@ func (pc *PCA) TransformAll(X [][]float64) ([][]float64, error) {
 		out[i] = y
 	}
 	return out, nil
-}
-
-// ExplainedVariance returns the fraction of total variance captured by the
-// first m components (m ≤ k); the total is taken over all p directions, so
-// callers should fit with k = p when they need exact ratios.
-func (pc *PCA) ExplainedVariance(m int) float64 {
-	if m > len(pc.EigVals) {
-		m = len(pc.EigVals)
-	}
-	var kept, total float64
-	for i, v := range pc.EigVals {
-		if v < 0 {
-			v = 0
-		}
-		if i < m {
-			kept += v
-		}
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return kept / total
 }

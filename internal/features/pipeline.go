@@ -23,7 +23,7 @@ type featMetrics struct {
 	maskSkipped *obs.Counter   // features.mask.skipped — non-finite NVP points dropped
 	pointsKept  *obs.Counter   // features.points.selected — unified DNVP sizes
 	pairSeconds *obs.Histogram // features.select_pair.seconds — per-pair KL selection
-	fitSeconds  *obs.Histogram // features.fit.seconds — whole FitPipeline calls
+	fitSeconds  *obs.Histogram // features.fit.seconds — whole FitPipelineCtx calls
 }
 
 var metPtr atomic.Pointer[featMetrics]
@@ -93,7 +93,7 @@ type PipelineConfig struct {
 	// points.
 	PerTraceNorm bool
 	// NormMode is the persisted marker of the PerTraceNorm mechanism.
-	// FitPipeline sets it to NormTrace when PerTraceNorm is on; callers
+	// FitPipelineCtx sets it to NormTrace when PerTraceNorm is on; callers
 	// leave it zero.
 	NormMode NormMode
 	// Standardize applies a training-set z-score before PCA (Fig. 1's
@@ -140,7 +140,7 @@ func (c PipelineConfig) CheckNorm() error {
 	return nil
 }
 
-// MaxScalogramCacheBytes bounds the memory FitPipeline may spend retaining
+// MaxScalogramCacheBytes bounds the memory FitPipelineCtx may spend retaining
 // per-trace scalograms between its statistics pass and its feature pass.
 // Below the bound each training trace costs exactly one CWT; above it the
 // feature pass recomputes scalograms (in parallel) instead of caching them.
@@ -150,9 +150,10 @@ var MaxScalogramCacheBytes = 512 << 20
 // Pipeline converts raw traces into low-dimensional classifier inputs. It is
 // fitted once on labeled training traces and then applied to any trace.
 //
-// Concurrency: a fitted Pipeline is immutable, so Extract, ExtractAll,
-// ExtractSparse, PairVector and friends are safe for concurrent use.
-// FitPipeline itself parallelizes its CWT, pairwise-selection and feature
+// Concurrency: a fitted Pipeline is immutable, so Extract, ExtractAllCtx,
+// ExtractSparse, PairVectorFromScalogram and friends are safe for
+// concurrent use.
+// FitPipelineCtx itself parallelizes its CWT, pairwise-selection and feature
 // passes over the parallel.Workers() pool; its result is identical (bitwise)
 // to a single-worker run because every parallel loop writes index-owned
 // slots and all reductions happen serially in index order.
@@ -178,33 +179,30 @@ type Pipeline struct {
 	MaskSkipped int
 }
 
-// FitPipeline learns the full extraction chain from labeled traces and
+// FitPipelineCtx learns the full extraction chain from labeled traces and
 // returns it with the classifier inputs of those same traces: X[i] is
-// bitwise what ExtractAll(traces)[i] computes, so a classifier trains on X
-// without transforming its training set again. programs gives the
-// program-file ID of each trace (used for the within-class not-varying
+// bitwise what ExtractAllCtx(ctx, traces)[i] computes, so a classifier
+// trains on X without transforming its training set again. programs gives
+// the program-file ID of each trace (used for the within-class not-varying
 // masks); labels must be 0..nClasses-1.
 //
 // Each training trace is transformed exactly once: the scalogram feeds the
 // statistics pass and is cached (bounded by MaxScalogramCacheBytes) for the
-// feature pass. The CWT, the O(nClasses²) pairwise DNVP selection and the
-// feature pass all run on the parallel.Workers() pool.
-func FitPipeline(traces [][]float64, labels, programs []int, nClasses int, cfg PipelineConfig) (*Pipeline, [][]float64, error) {
-	return FitPipelineCtx(context.Background(), traces, labels, programs, nClasses, cfg)
-}
-
-// FitPipelineCtx is FitPipeline with cooperative cancellation: between every
-// chunk of CWT work, every mask, every selection pair and every feature
-// extraction, ctx is consulted and a cancelled context surfaces promptly as
-// ctx.Err() (workers already running finish their current trace first). The
-// fitted result is unaffected by cancellation timing — a non-nil Pipeline is
-// only returned when every stage completed.
+// feature pass. The CWT, the O(nClasses²) pairwise DNVP selection, the
+// feature pass and the PCA products all run on the parallel.Workers() pool.
+//
+// Between every chunk of CWT work, every mask, every selection pair, every
+// feature extraction and every PCA task, ctx is consulted and a cancelled
+// context surfaces promptly as ctx.Err() (workers already running finish
+// their current task first). The fitted result is unaffected by
+// cancellation timing — a non-nil Pipeline is only returned when every
+// stage completed.
 func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []int, nClasses int, cfg PipelineConfig) (*Pipeline, [][]float64, error) {
 	if len(traces) == 0 || len(traces) != len(labels) || len(traces) != len(programs) {
-		return nil, nil, errors.New("features: FitPipeline needs equal-length traces/labels/programs")
+		return nil, nil, errors.New("features: FitPipelineCtx needs equal-length traces/labels/programs")
 	}
 	if nClasses < 2 {
-		return nil, nil, fmt.Errorf("features: FitPipeline needs >= 2 classes, got %d", nClasses)
+		return nil, nil, fmt.Errorf("features: FitPipelineCtx needs >= 2 classes, got %d", nClasses)
 	}
 	if cfg.PerTraceNorm {
 		cfg.NormMode = NormTrace // the one mechanism inference implements
@@ -249,9 +247,11 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	input := traces
 	if cfg.PerTraceNorm {
 		input = make([][]float64, n)
-		parallel.For(n, func(k int) {
+		if err := parallel.ForCtx(ctx, n, func(k int) {
 			input[k] = stats.NormalizeTrace(traces[k])
-		})
+		}); err != nil {
+			return nil, nil, err
+		}
 	}
 	useCache := n*sel.numPoints()*8 <= MaxScalogramCacheBytes
 	chunk := n
@@ -418,7 +418,7 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	if k < 1 {
 		k = len(points)
 	}
-	pca, err := FitPCA(feats, k)
+	pca, err := FitPCA(pcaCtx, feats, k)
 	if err != nil {
 		pcaSpan.End()
 		return nil, nil, err
@@ -427,7 +427,7 @@ func FitPipelineCtx(ctx context.Context, traces [][]float64, labels, programs []
 	// The training traces' classifier inputs: their pass-2 values, already
 	// standardized above, projected through the PCA just fitted — the steps
 	// Extract runs after its CWT, in the same order, so X is bitwise what
-	// ExtractAll(traces) would recompute at one more CWT per trace.
+	// ExtractAllCtx(ctx, traces) would recompute at one more CWT per trace.
 	X := make([][]float64, n)
 	if err := parallel.ForErrCtx(pcaCtx, n, func(i int) error {
 		X[i] = make([]float64, pca.NumComponents())
@@ -530,14 +530,10 @@ func (pl *Pipeline) Extract(trace []float64) ([]float64, error) {
 	return out, nil
 }
 
-// ExtractAll maps a batch of traces, parallelized over the
+// ExtractAllCtx maps a batch of traces, parallelized over the
 // parallel.Workers() pool. The result is index-aligned with traces and
-// identical to serial per-trace Extract calls.
-func (pl *Pipeline) ExtractAll(traces [][]float64) ([][]float64, error) {
-	return pl.ExtractAllCtx(context.Background(), traces)
-}
-
-// ExtractAllCtx is ExtractAll with cooperative cancellation.
+// identical to serial per-trace Extract calls; a cancelled ctx stops it
+// between traces with ctx.Err().
 func (pl *Pipeline) ExtractAllCtx(ctx context.Context, traces [][]float64) ([][]float64, error) {
 	out := make([][]float64, len(traces))
 	if err := parallel.ForErrCtx(ctx, len(traces), func(i int) error {
@@ -560,9 +556,6 @@ func (pl *Pipeline) NumFeatures() int { return pl.pca.NumComponents() }
 // for group 1: a 98.7 % reduction from 15 750).
 func (pl *Pipeline) NumPoints() int { return len(pl.Points) }
 
-// NumClasses returns the class count the pipeline was fitted for.
-func (pl *Pipeline) NumClasses() int { return pl.nClasses }
-
 // TraceLen returns the trace length the pipeline was fitted for.
 func (pl *Pipeline) TraceLen() int { return pl.sel.TraceLen }
 
@@ -571,20 +564,11 @@ func (pl *Pipeline) TraceLen() int { return pl.sel.TraceLen }
 // the per-pair tables.
 func (pl *Pipeline) PairCount() int { return len(pl.Pairs) }
 
-// PairVector slices a pair-specific feature vector (the paper's x_{i,j} for
-// majority voting) out of the unified raw feature vector of a trace.
-// maxVars truncates to the strongest maxVars points (0 = all).
-func (pl *Pipeline) PairVector(pair int, trace []float64, maxVars int) ([]float64, error) {
-	flat, err := pl.RawScalogram(trace)
-	if err != nil {
-		return nil, err
-	}
-	return pl.PairVectorFromScalogram(pair, flat, maxVars)
-}
-
-// PairVectorFromScalogram is PairVector against a precomputed raw scalogram,
-// so a trace voted on by many pair classifiers costs one CWT instead of one
-// per pair.
+// PairVectorFromScalogram slices a pair-specific feature vector (the
+// paper's x_{i,j} for majority voting) out of the unified raw feature vector
+// of a trace, given its precomputed raw scalogram, so a trace voted on by
+// many pair classifiers costs one CWT instead of one per pair. maxVars
+// truncates to the strongest maxVars points (0 = all).
 func (pl *Pipeline) PairVectorFromScalogram(pair int, flat []float64, maxVars int) ([]float64, error) {
 	if pair < 0 || pair >= len(pl.Pairs) {
 		return nil, fmt.Errorf("features: pair %d out of range", pair)

@@ -29,7 +29,7 @@ func TestPCAComponentsOrthonormal(t *testing.T) {
 		n := g.Size(3, 40)
 		p := g.Size(2, 30)
 		k := g.IntBetween(1, min(n, p))
-		pc, err := FitPCA(g.Matrix(n, p), k)
+		pc, err := FitPCA(context.Background(), g.Matrix(n, p), k)
 		if err != nil {
 			return err
 		}
@@ -63,11 +63,11 @@ func TestSelectPairSwapInvariance(t *testing.T) {
 		a = append(a, synthTrace(rng, 0, 0))
 		b = append(b, synthTrace(rng, 1, 0))
 	}
-	sa, err := sel.AccumulateStats(a)
+	sa, err := accumulateStats(sel, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := sel.AccumulateStats(b)
+	sb, err := accumulateStats(sel, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestSelectPairTraceOrderInvariance(t *testing.T) {
 		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return out
 	}
-	sa1, _ := sel.AccumulateStats(a)
-	sb1, _ := sel.AccumulateStats(b)
-	sa2, _ := sel.AccumulateStats(perm(a))
-	sb2, _ := sel.AccumulateStats(perm(b))
+	sa1, _ := accumulateStats(sel, a)
+	sb1, _ := accumulateStats(sel, b)
+	sa2, _ := accumulateStats(sel, perm(a))
+	sb2, _ := accumulateStats(sel, perm(b))
 
 	kl1, err := sel.BetweenClassKL(sa1, sb1)
 	if err != nil {
@@ -144,8 +144,8 @@ func TestSelectPairTraceOrderInvariance(t *testing.T) {
 }
 
 // TestExtractAllAgreesSerialParallelRetried pins the extraction agreement
-// invariant end to end: a per-trace Extract loop, ExtractAll at one worker,
-// ExtractAll at several workers, and ExtractAllCtx retried after a
+// invariant end to end: a per-trace Extract loop, ExtractAllCtx at one worker,
+// ExtractAllCtx at several workers, and ExtractAllCtx retried after a
 // cancellation must all produce bitwise-identical feature matrices.
 func TestExtractAllAgreesSerialParallelRetried(t *testing.T) {
 	defer parallel.SetWorkers(0)
@@ -153,7 +153,7 @@ func TestExtractAllAgreesSerialParallelRetried(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 6, 3, true)
 	cfg := DefaultPipelineConfig()
 	cfg.NumComponents = 5
-	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,21 +169,21 @@ func TestExtractAllAgreesSerialParallelRetried(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		parallel.SetWorkers(workers)
-		got, err := pl.ExtractAll(traces)
+		got, err := pl.ExtractAllCtx(context.Background(), traces)
 		if err != nil {
-			t.Fatalf("ExtractAll with %d workers: %v", workers, err)
+			t.Fatalf("ExtractAllCtx with %d workers: %v", workers, err)
 		}
-		testkit.ExactEqual2D(t, got, serial, fmt.Sprintf("ExtractAll(%d workers) vs serial Extract", workers))
+		testkit.ExactEqual2D(t, got, serial, fmt.Sprintf("ExtractAllCtx(%d workers) vs serial Extract", workers))
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := pl.ExtractAllCtx(cancelled, traces); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ExtractAll returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled ExtractAllCtx returned %v, want context.Canceled", err)
 	}
 	got, err := pl.ExtractAllCtx(context.Background(), traces)
 	if err != nil {
 		t.Fatalf("retry after cancel: %v", err)
 	}
-	testkit.ExactEqual2D(t, got, serial, "ExtractAll retried after cancel vs serial")
+	testkit.ExactEqual2D(t, got, serial, "ExtractAllCtx retried after cancel vs serial")
 }

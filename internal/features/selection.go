@@ -97,32 +97,6 @@ func (s *Selector) numPoints() int { return s.CWT.NumScales() * s.TraceLen }
 // flatIndex converts a point to its flat index.
 func (s *Selector) flatIndex(p Point) int { return p.Scale*s.TraceLen + p.Time }
 
-// AccumulateStats computes the per-point Gaussian statistics of a set of
-// traces. The scalograms are computed in parallel (batch CWT) and
-// accumulated serially in trace order, so the result does not depend on the
-// worker count.
-func (s *Selector) AccumulateStats(traces [][]float64) (*PointStats, error) {
-	if len(traces) < 2 {
-		return nil, errors.New("features: need at least 2 traces for statistics")
-	}
-	for _, tr := range traces {
-		if len(tr) != s.TraceLen {
-			return nil, fmt.Errorf("features: trace length %d, want %d", len(tr), s.TraceLen)
-		}
-	}
-	ps := NewPointStats(s.numPoints())
-	flats, err := s.CWT.TransformFlatBatch(traces)
-	if err != nil {
-		return nil, err
-	}
-	for _, flat := range flats {
-		if err := ps.Add(flat); err != nil {
-			return nil, err
-		}
-	}
-	return ps, nil
-}
-
 // BetweenClassKL returns the symmetric KL divergence map between two trace
 // populations as a Scales×TraceLen matrix — the paper's D^B_KL.
 func (s *Selector) BetweenClassKL(a, b *PointStats) ([][]float64, error) {

@@ -31,7 +31,8 @@ func (pl *Pipeline) sparseEval() (*dsp.SparseCWT, error) {
 // sparse per-cell path. It is the fast twin of Extract: same z-score and
 // PCA stages, point values within testkit.CWTTol of the full-FFT path. It
 // allocates its buffers and the normalized trace; the decoder calls
-// ExtractSparseInto.
+// ExtractSparseInto. It stays only because scdisbench's replay calls it
+// (ROADMAP item 1 retires it).
 func (pl *Pipeline) ExtractSparse(trace []float64) ([]float64, error) {
 	x := trace
 	if pl.cfg.PerTraceNorm {
@@ -90,7 +91,8 @@ func (pl *Pipeline) ExtractSparseInto2(out0, out1, cells0, cells1, x0, x1 []floa
 }
 
 // SparseCells returns the number of time–frequency cells the sparse path
-// evaluates per trace (the size of the unified DNVP set).
+// evaluates per trace (the size of the unified DNVP set). It stays only
+// because scdisbench's replay calls it (ROADMAP item 1 retires it).
 func (pl *Pipeline) SparseCells() (int, error) {
 	sp, err := pl.sparseEval()
 	if err != nil {

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,7 +19,7 @@ func fitTestPipeline(t *testing.T, cfg PipelineConfig) *Pipeline {
 	rng := rand.New(rand.NewSource(31))
 	traces, labels, programs := synthDataset(rng, 6, 3, true)
 	cfg.NumComponents = 5
-	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestSparseEdgeCellsMatchScalogram(t *testing.T) {
 
 // TestExtractSparseIncapable pins the fail-closed contract for the one
 // configuration the sparse path cannot serve, the retired scalogram-plane
-// normalization: FitPipeline marks every per-trace-normalized pipeline
+// normalization: FitPipelineCtx marks every per-trace-normalized pipeline
 // NormTrace, and a persisted state whose NormMode is anything else is
 // refused by PipelineFromState — it never decodes with the wrong
 // normalization.
@@ -169,7 +170,7 @@ func TestExtractSparseAllMatchesSerial(t *testing.T) {
 		parallel.SetWorkers(workers)
 		pl := fitTestPipeline(t, CSAPipelineConfig()) // fresh: first use races to build the evaluator
 		got := make([][]float64, len(traces))
-		if err := parallel.ForErr(len(traces), func(i int) error {
+		if err := parallel.ForErrCtx(context.Background(), len(traces), func(i int) error {
 			f, err := pl.ExtractSparse(traces[i])
 			got[i] = f
 			return err

@@ -2,6 +2,7 @@ package features
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ func TestPipelineStateRoundTrip(t *testing.T) {
 	traces, labels, programs := synthDataset(rng, 15, 3, false)
 	cfg := CSAPipelineConfig()
 	cfg.NumComponents = 3
-	pl, _, err := FitPipeline(traces, labels, programs, 2, cfg)
+	pl, _, err := FitPipelineCtx(context.Background(), traces, labels, programs, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,33 +118,9 @@ func (c *Cholesky) LogDet() float64 {
 	return 2 * s
 }
 
-// Inverse returns A⁻¹ as a dense matrix.
-func (c *Cholesky) Inverse() (*Matrix, error) {
-	inv := NewMatrix(c.n, c.n)
-	e := make([]float64, c.n)
-	for j := 0; j < c.n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := c.SolveVec(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < c.n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// MahalanobisSq returns (x-mu)ᵀ A⁻¹ (x-mu) for the factorized A.
-func (c *Cholesky) MahalanobisSq(x, mu []float64) (float64, error) {
-	return c.MahalanobisSqWith(make([]float64, c.n), x, mu)
-}
-
-// MahalanobisSqWith is MahalanobisSq solving into the caller's y, which
-// must hold the factor's order and is overwritten.
+// MahalanobisSqWith returns (x-mu)ᵀ A⁻¹ (x-mu) for the factorized A,
+// solving into the caller's y, which must hold the factor's order and is
+// overwritten.
 func (c *Cholesky) MahalanobisSqWith(y, x, mu []float64) (float64, error) {
 	if len(x) != c.n || len(mu) != c.n || len(y) != c.n {
 		return 0, fmt.Errorf("%w: MahalanobisSq lengths (%d,%d,%d) != %d", ErrShape, len(x), len(mu), len(y), c.n)

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -452,4 +453,98 @@ func TestCholeskyFromFactorValidates(t *testing.T) {
 	if _, err := CholeskyFromFactor(zero); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("zero-pivot factor err = %v, want ErrNotPositiveDefinite", err)
 	}
+}
+
+// The helpers below check the package through its tests only; no non-test
+// code calls them.
+
+// T returns the transpose as a new matrix.
+func (m *Matrix) T() *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// Mul returns m·b, the dense product the decompositions are checked with.
+func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
+	if m.Cols != b.Rows {
+		return nil, fmt.Errorf("%w: Mul %dx%d · %dx%d", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
+	}
+	out := NewMatrix(m.Rows, b.Cols)
+	for i := 0; i < m.Rows; i++ {
+		mi := m.Row(i)
+		oi := out.Row(i)
+		for k := 0; k < m.Cols; k++ {
+			a := mi[k]
+			if a == 0 {
+				continue
+			}
+			bk := b.Row(k)
+			for j := range oi {
+				oi[j] += a * bk[j]
+			}
+		}
+	}
+	return out, nil
+}
+
+// MulVec returns m·x as a new vector.
+func (m *Matrix) MulVec(x []float64) ([]float64, error) {
+	out := make([]float64, m.Rows)
+	if err := m.MulVecInto(out, x); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AXPY computes y += a*x in place.
+func AXPY(a float64, x, y []float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
+	}
+	for i := range x {
+		y[i] += a * x[i]
+	}
+}
+
+// Sub returns a-b as a new vector.
+func Sub(a, b []float64) []float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(a), len(b)))
+	}
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] - b[i]
+	}
+	return out
+}
+
+// Inverse returns A⁻¹ as a dense matrix, column by column through SolveVec.
+func (c *Cholesky) Inverse() (*Matrix, error) {
+	inv := NewMatrix(c.n, c.n)
+	e := make([]float64, c.n)
+	for j := 0; j < c.n; j++ {
+		for i := range e {
+			e[i] = 0
+		}
+		e[j] = 1
+		col, err := c.SolveVec(e)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < c.n; i++ {
+			inv.Set(i, j, col[i])
+		}
+	}
+	return inv, nil
+}
+
+// MahalanobisSq returns (x-mu)ᵀ A⁻¹ (x-mu) for the factorized A, through
+// the scratch form the classifiers call.
+func (c *Cholesky) MahalanobisSq(x, mu []float64) (float64, error) {
+	return c.MahalanobisSqWith(make([]float64, c.n), x, mu)
 }

@@ -74,49 +74,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: Mul %dx%d · %dx%d", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m·x as a new vector.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	out := make([]float64, m.Rows)
-	if err := m.MulVecInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MulVecInto writes m·x into dst, which must hold m.Rows values and must
 // not overlap x.
 func (m *Matrix) MulVecInto(dst, x []float64) error {
@@ -193,28 +150,6 @@ func Norm2(v []float64) float64 {
 		s += x * x
 	}
 	return math.Sqrt(s)
-}
-
-// AXPY computes y += a*x in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
-// Sub returns a-b as a new vector.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
 }
 
 // Mean returns the per-column mean of the rows of X.

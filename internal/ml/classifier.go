@@ -6,12 +6,9 @@
 package ml
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -103,68 +100,4 @@ func ConfusionMatrix(clf Classifier, X [][]float64, y []int, nClasses int) ([][]
 		cm[y[i]][p]++
 	}
 	return cm, nil
-}
-
-// KFoldCV returns the mean validation accuracy of the classifier produced by
-// make() across k stratification-free folds (the paper uses 3-fold CV for
-// the SVM grid search). The single Perm draw happens up front; the k folds
-// then train and evaluate concurrently on the parallel.Workers() pool, and
-// the per-fold accuracies are summed in fold order, so the score is
-// bit-identical to a serial run. make() must therefore be safe to call from
-// multiple goroutines — constructing a fresh classifier per call (the normal
-// usage) satisfies this.
-func KFoldCV(make func() Classifier, X [][]float64, y []int, k int, rng *rand.Rand) (float64, error) {
-	return KFoldCVCtx(context.Background(), make, X, y, k, rng)
-}
-
-// KFoldCVCtx is KFoldCV with cooperative cancellation: once ctx is cancelled
-// no new fold starts and the call returns ctx.Err(); a fold error at a lower
-// index still takes precedence (parallel.ForErrCtx semantics).
-func KFoldCVCtx(ctx context.Context, make func() Classifier, X [][]float64, y []int, k int, rng *rand.Rand) (float64, error) {
-	if k < 2 || len(X) < k {
-		return 0, fmt.Errorf("ml: cannot run %d-fold CV on %d samples", k, len(X))
-	}
-	return kFoldCVPerm(ctx, make, X, y, k, rng.Perm(len(X)))
-}
-
-// kFoldCVPerm is KFoldCV with the shuffle already drawn, so grid searches can
-// pre-draw every cell's permutation serially and evaluate cells in parallel
-// without perturbing the rng stream.
-func kFoldCVPerm(ctx context.Context, mk func() Classifier, X [][]float64, y []int, k int, idx []int) (float64, error) {
-	accs := make([]float64, k)
-	err := parallel.ForErrCtx(ctx, k, func(fold int) error {
-		var trX, vaX [][]float64
-		var trY, vaY []int
-		for pos, j := range idx {
-			if pos%k == fold {
-				vaX = append(vaX, X[j])
-				vaY = append(vaY, y[j])
-			} else {
-				trX = append(trX, X[j])
-				trY = append(trY, y[j])
-			}
-		}
-		clf := mk()
-		if err := clf.Fit(trX, trY); err != nil {
-			return err
-		}
-		acc, err := EvaluateAccuracy(clf, vaX, vaY)
-		if err != nil {
-			return err
-		}
-		accs[fold] = acc
-		met().cvFolds.Inc()
-		if met().foldScore != nil {
-			met().foldScore.Observe(acc)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, a := range accs {
-		total += a
-	}
-	return total / float64(k), nil
 }

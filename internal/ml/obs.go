@@ -31,16 +31,12 @@ func (m *clfMetrics) timeFit() func() {
 
 var noopEnd = func() {}
 
-// mlMetrics is the package's full handle set: per-algorithm instruments plus
-// the cross-validation / grid-search ones. The live set is swapped
+// mlMetrics is the package's full handle set, one per algorithm. The live
+// set is swapped
 // atomically by the OnDefault hook, so obs.SetDefault can rebind while fits
 // and predictions run on other goroutines.
 type mlMetrics struct {
 	lda, qda, nb, knn, svm clfMetrics
-
-	cvFolds   *obs.Counter   // ml.cv.folds — CV folds evaluated
-	foldScore *obs.Histogram // ml.cv.fold_accuracy — per-fold validation accuracy
-	gridCells *obs.Counter   // ml.svm.grid_cells — (C, γ) cells scored
 }
 
 var metPtr atomic.Pointer[mlMetrics]
@@ -73,9 +69,6 @@ func init() {
 		bind(&m.nb, "bayes")
 		bind(&m.knn, "knn")
 		bind(&m.svm, "svm")
-		m.cvFolds = r.Counter("ml.cv.folds")
-		m.foldScore = r.HistogramWith("ml.cv.fold_accuracy", obs.UnitBuckets())
-		m.gridCells = r.Counter("ml.svm.grid_cells")
 		metPtr.Store(m)
 	})
 }

@@ -205,3 +205,21 @@ func TestVoterErrorPaths(t *testing.T) {
 		t.Fatal("Vote swallowed a pair-classifier error")
 	}
 }
+
+// The voter accessors and scored vote below serve these tests only.
+
+// NumPairs returns K(K−1)/2.
+func (v *PairwiseVoter) NumPairs() int { return len(v.pairs) }
+
+// Pair returns the class labels of pair slot i.
+func (v *PairwiseVoter) Pair(i int) (a, b int) { return v.pairs[i][0], v.pairs[i][1] }
+
+// VoteScored is Vote annotated with the vote-tally confidence: the winning
+// class's share of the K(K−1)/2 pairwise votes.
+func (v *PairwiseVoter) VoteScored(pairFeatures [][]float64) (ScoredPrediction, error) {
+	votes, err := v.voteTally(pairFeatures)
+	if err != nil {
+		return ScoredPrediction{}, err
+	}
+	return scoredFromWeights(votes, make([]float64, len(votes))), nil
+}

@@ -42,18 +42,9 @@ type ScoredClassifier interface {
 // decision scores (log posteriors up to a shared constant for the Gaussian
 // families). Predict is the argmax of these scores, so callers can restrict
 // a decision to a subset of classes by masking entries to -Inf and
-// re-normalizing with ScoredFromLogScores.
+// re-normalizing with Scratch.ScoredFromLogScores.
 type Scorer interface {
 	Scores(x []float64) ([]float64, error)
-}
-
-// ScoredFromLogScores builds a ScoredPrediction from per-class log-space
-// scores with the same max-shifted softmax the built-in scored predictors
-// use. Exported for callers that post-process scores — e.g. masking classes
-// a hierarchical decoder has no downstream templates for to math.Inf(-1),
-// which gives them zero posterior and makes them unelectable.
-func ScoredFromLogScores(scores []float64) ScoredPrediction {
-	return scoredFromLogScores(scores, make([]float64, len(scores)))
 }
 
 // scoredFromLogScores normalizes per-class scores that live in log space

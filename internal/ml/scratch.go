@@ -47,9 +47,13 @@ func take[S ~[]E, E any](buf *S, n int) S {
 	return *buf
 }
 
-// ScoredFromLogScores is the package-level ScoredFromLogScores with the
-// posteriors written into s; the result's Posteriors alias s until its next
-// use. scores must not alias s's posterior buffer (ScoresScratch output
+// ScoredFromLogScores builds a ScoredPrediction from per-class log-space
+// scores with the same max-shifted softmax the built-in scored predictors
+// use, for callers that post-process scores — e.g. masking classes a
+// hierarchical decoder has no downstream templates for to math.Inf(-1),
+// which gives them zero posterior and makes them unelectable. The
+// posteriors are written into s; the result's Posteriors alias s until its
+// next use. scores must not alias s's posterior buffer (ScoresScratch output
 // does not).
 func (s *Scratch) ScoredFromLogScores(scores []float64) ScoredPrediction {
 	return scoredFromLogScores(scores, take(&s.post, len(scores)))

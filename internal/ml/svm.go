@@ -1,15 +1,10 @@
 package ml
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math"
 	"math/rand"
-
-	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // Kernel is an SVM kernel function.
@@ -303,82 +298,4 @@ func (s *SVM) PredictScoredScratch(x []float64, sc *Scratch) (ScoredPrediction, 
 		w[c] = float64(votes[c]) + squashMargin(margin[c])
 	}
 	return scoredFromWeights(w, take(&sc.post, len(w))), nil
-}
-
-// NumSupportVectors returns the total SV count across pair machines.
-func (s *SVM) NumSupportVectors() int {
-	n := 0
-	for _, m := range s.machines {
-		n += len(m.sv)
-	}
-	return n
-}
-
-// GridSearchResult reports the chosen SVM hyperparameters.
-type GridSearchResult struct {
-	C, Gamma float64
-	CVScore  float64
-}
-
-// GridSearchSVM selects C and the RBF γ by k-fold cross-validation (the
-// paper: grid search with 3-fold CV) and returns the model refitted on the
-// full training set.
-//
-// Determinism under parallelism: each grid cell's CV shuffle is drawn from
-// rng serially in grid order before any evaluation starts, the cells are then
-// scored concurrently into per-cell slots, and the winner is picked by a
-// serial scan in the same grid order (strict improvement only) — so the
-// selected hyperparameters and CV scores match a serial run exactly.
-func GridSearchSVM(X [][]float64, y []int, cs, gammas []float64, folds int, rng *rand.Rand) (*SVM, GridSearchResult, error) {
-	return GridSearchSVMCtx(context.Background(), X, y, cs, gammas, folds, rng)
-}
-
-// GridSearchSVMCtx is GridSearchSVM with cooperative cancellation: grid cells
-// stop being scheduled once ctx is cancelled and the call returns ctx.Err().
-// The winner scan and final refit only run when every cell completed.
-func GridSearchSVMCtx(ctx context.Context, X [][]float64, y []int, cs, gammas []float64, folds int, rng *rand.Rand) (*SVM, GridSearchResult, error) {
-	if len(cs) == 0 || len(gammas) == 0 {
-		return nil, GridSearchResult{}, errors.New("ml: grid search needs candidate lists")
-	}
-	if folds < 2 || len(X) < folds {
-		return nil, GridSearchResult{}, fmt.Errorf("ml: cannot run %d-fold CV on %d samples", folds, len(X))
-	}
-	ctx, gridSpan := obs.Span(ctx, "ml.svm.grid")
-	defer gridSpan.End()
-	type cell struct {
-		c, g float64
-		perm []int
-	}
-	var cells []cell
-	for _, c := range cs {
-		for _, g := range gammas {
-			cells = append(cells, cell{c: c, g: g, perm: rng.Perm(len(X))})
-		}
-	}
-	scores := make([]float64, len(cells))
-	err := parallel.ForErrCtx(ctx, len(cells), func(i int) error {
-		cl := cells[i]
-		score, err := kFoldCVPerm(ctx, func() Classifier { return NewSVM(cl.c, RBFKernel{Gamma: cl.g}) }, X, y, folds, cl.perm)
-		if err != nil {
-			return err
-		}
-		scores[i] = score
-		met().gridCells.Inc()
-		slog.Debug("svm grid cell scored", "C", cl.c, "gamma", cl.g, "cv_accuracy", score)
-		return nil
-	})
-	if err != nil {
-		return nil, GridSearchResult{}, err
-	}
-	best := GridSearchResult{CVScore: -1}
-	for i, cl := range cells {
-		if scores[i] > best.CVScore {
-			best = GridSearchResult{C: cl.c, Gamma: cl.g, CVScore: scores[i]}
-		}
-	}
-	final := NewSVM(best.C, RBFKernel{Gamma: best.Gamma})
-	if err := final.Fit(X, y); err != nil {
-		return nil, GridSearchResult{}, err
-	}
-	return final, best, nil
 }

@@ -33,12 +33,6 @@ func NewPairwiseVoter(nClasses int) (*PairwiseVoter, error) {
 	return v, nil
 }
 
-// NumPairs returns K(K−1)/2.
-func (v *PairwiseVoter) NumPairs() int { return len(v.pairs) }
-
-// Pair returns the class labels of pair slot i.
-func (v *PairwiseVoter) Pair(i int) (a, b int) { return v.pairs[i][0], v.pairs[i][1] }
-
 // SetPairClassifier installs the trained binary classifier for slot i. The
 // classifier must emit label 0 for the pair's first class and 1 for its
 // second.
@@ -84,14 +78,4 @@ func (v *PairwiseVoter) Vote(pairFeatures [][]float64) (int, error) {
 		return 0, err
 	}
 	return argmax(votes), nil
-}
-
-// VoteScored is Vote annotated with the vote-tally confidence: the winning
-// class's share of the K(K−1)/2 pairwise votes.
-func (v *PairwiseVoter) VoteScored(pairFeatures [][]float64) (ScoredPrediction, error) {
-	votes, err := v.voteTally(pairFeatures)
-	if err != nil {
-		return ScoredPrediction{}, err
-	}
-	return scoredFromWeights(votes, make([]float64, len(votes))), nil
 }

@@ -63,22 +63,6 @@ func (r *Reliability) Observe(conf float64, correct bool) {
 	r.totalConf += conf
 }
 
-// ObserveConfidence records a decision with no ground truth — it counts
-// toward volume and mean confidence but not the reliability histogram or
-// ECE. No-op on nil.
-func (r *Reliability) ObserveConfidence(conf float64) {
-	if r == nil {
-		return
-	}
-	if math.IsNaN(conf) {
-		conf = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
-	r.totalConf += conf
-}
-
 // Total returns how many decisions were observed at all (0 for nil).
 func (r *Reliability) Total() int64 {
 	if r == nil {
@@ -87,42 +71,6 @@ func (r *Reliability) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// Labeled returns how many ground-truth-labeled decisions were observed.
-func (r *Reliability) Labeled() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.labeled
-}
-
-// MeanConfidence returns the mean confidence over every observation (0 when
-// empty or nil).
-func (r *Reliability) MeanConfidence() float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total == 0 {
-		return 0
-	}
-	return r.totalConf / float64(r.total)
-}
-
-// ECE returns the expected calibration error over labeled observations:
-// Σ_b (n_b/n)·|accuracy_b − mean-confidence_b|. Returns 0 when no labeled
-// observations exist (or on nil).
-func (r *Reliability) ECE() float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eceLocked()
 }
 
 func (r *Reliability) eceLocked() float64 {

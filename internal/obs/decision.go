@@ -75,13 +75,6 @@ func OpenDecisionLog(path string, sample int) (*DecisionLog, error) {
 	return l, nil
 }
 
-// Record counts the decision and, when it falls on the sampling stride,
-// writes it as one JSON line. The record's Seq is set to its 1-based index
-// among all decisions seen. No-op on a nil receiver.
-func (l *DecisionLog) Record(rec DecisionRecord) error {
-	return l.RecordWith(func() DecisionRecord { return rec })
-}
-
 // RecordWith is Record for a record that is built only when the log keeps
 // it: the decision is counted, and build runs and its record is encoded,
 // only when the decision falls on the sampling stride. A sampled-out

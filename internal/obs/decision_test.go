@@ -175,3 +175,13 @@ func TestDecisionLogConcurrent(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// Record is RecordWith for an already-built record; the decoder always
+// builds lazily through RecordWith.
+
+// Record counts the decision and, when it falls on the sampling stride,
+// writes it as one JSON line. The record's Seq is set to its 1-based index
+// among all decisions seen. No-op on a nil receiver.
+func (l *DecisionLog) Record(rec DecisionRecord) error {
+	return l.RecordWith(func() DecisionRecord { return rec })
+}

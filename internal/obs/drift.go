@@ -143,14 +143,6 @@ func NewDriftMonitor(base DriftBaseline, cfg DriftConfig) (*DriftMonitor, error)
 	}, nil
 }
 
-// NumFeatures returns the baseline dimensionality (0 for nil).
-func (d *DriftMonitor) NumFeatures() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.base.Mean)
-}
-
 // Config returns the effective (defaulted) configuration.
 func (d *DriftMonitor) Config() DriftConfig {
 	if d == nil {

@@ -166,7 +166,7 @@ func TestDriftMonitorRejectsBadInput(t *testing.T) {
 func TestDriftMonitorNilSafe(t *testing.T) {
 	var m *DriftMonitor
 	m.Observe([]float64{1})
-	if m.State() != DriftOK || m.Score() != 0 || m.NumFeatures() != 0 {
+	if m.State() != DriftOK || m.Score() != 0 {
 		t.Fatal("nil monitor must be a no-op")
 	}
 	if s := m.Snapshot(); s.State != "ok" {

@@ -191,22 +191,6 @@ func (e *TraceExporter) Export(tr ExportedTrace) bool {
 	}
 }
 
-// Dropped reports traces discarded because the queue was full (0 for nil).
-func (e *TraceExporter) Dropped() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.dropped.Load()
-}
-
-// Exported reports traces successfully written (0 for nil).
-func (e *TraceExporter) Exported() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.exported.Load()
-}
-
 // Close stops accepting traces, drains the queue to the writer, and closes
 // the underlying writer when it is a Closer. Safe to call more than once;
 // nil-safe.

@@ -316,3 +316,30 @@ func TestPrometheusExemplarRendering(t *testing.T) {
 	}
 	checkPromFormat(t, out)
 }
+
+// The exporter counters and the exemplar accessor read state for these
+// tests; no non-test code asks for them.
+
+// Dropped reports traces discarded because the queue was full (0 for nil).
+func (e *TraceExporter) Dropped() int64 {
+	if e == nil {
+		return 0
+	}
+	return e.dropped.Load()
+}
+
+// Exported reports traces successfully written (0 for nil).
+func (e *TraceExporter) Exported() int64 {
+	if e == nil {
+		return 0
+	}
+	return e.exported.Load()
+}
+
+// Exemplar returns the most recent traced observation, or nil.
+func (h *Histogram) Exemplar() *Exemplar {
+	if h == nil {
+		return nil
+	}
+	return h.exemplar.Load()
+}

@@ -132,14 +132,6 @@ func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
 	}
 }
 
-// Exemplar returns the most recent traced observation, or nil.
-func (h *Histogram) Exemplar() *Exemplar {
-	if h == nil {
-		return nil
-	}
-	return h.exemplar.Load()
-}
-
 // Count returns the number of observations (0 for nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -112,15 +111,6 @@ func (m *RunManifest) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err := w.Write(b)
 	return int64(n), err
-}
-
-// WriteFile writes the manifest JSON to path (0644, truncating).
-func (m *RunManifest) WriteFile(path string) error {
-	b, err := m.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 // Scrub converts v into a JSON-encodable value tree with every NaN/±Inf

@@ -178,18 +178,6 @@ func (r *Registry) AttachGauge(name string, g *Gauge) {
 	r.mu.Unlock()
 }
 
-// AttachHistogram registers an externally created (always-live) histogram
-// under name, so distributions accumulated outside any registry join
-// snapshots. No-op on a nil registry.
-func (r *Registry) AttachHistogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	r.hists[name] = h
-	r.mu.Unlock()
-}
-
 // Gauge returns the named gauge, creating it on first use. Returns nil on a
 // nil registry.
 func (r *Registry) Gauge(name string) *Gauge {

@@ -189,3 +189,17 @@ func TestWritePrometheus(t *testing.T) {
 		}
 	}
 }
+
+// AttachHistogram is Attach for a histogram; only these tests attach one.
+
+// AttachHistogram registers an externally created (always-live) histogram
+// under name, so distributions accumulated outside any registry join
+// snapshots. No-op on a nil registry.
+func (r *Registry) AttachHistogram(name string, h *Histogram) {
+	if r == nil || h == nil {
+		return
+	}
+	r.mu.Lock()
+	r.hists[name] = h
+	r.mu.Unlock()
+}

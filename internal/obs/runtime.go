@@ -104,14 +104,6 @@ func (c *RuntimeCollector) AddSampler(fn func()) {
 	c.mu.Unlock()
 }
 
-// Interval returns the effective sampling period.
-func (c *RuntimeCollector) Interval() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.interval
-}
-
 // Start samples once immediately (so /metrics is populated before the first
 // tick) and then launches the ticker goroutine. Call Stop exactly once to
 // end it; Start must not be called twice.

@@ -50,30 +50,6 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped.Load()
 }
 
-// Truncated reports whether any span was discarded over the MaxSpans cap —
-// the marker exported traces carry so a missing child reads as "cut off", not
-// "never happened".
-func (t *Tracer) Truncated() bool { return t.Dropped() > 0 }
-
-// Reset discards every recorded span, clears the drop count and re-anchors
-// the tracer at the current time, so one tracer can be reused across many
-// runs (or requests) without accumulating spans for the process lifetime —
-// without it, a long-running server fills the MaxSpans cap once and then
-// silently drops every span while holding the full buffer forever. Spans
-// still in flight when Reset is called land in the post-reset buffer; their
-// timings are valid, only their start offsets predate the new anchor. No-op
-// on a nil tracer.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.start = time.Now()
-	t.mu.Unlock()
-	t.dropped.Store(0)
-}
-
 type ctxKey int
 
 const (
@@ -218,14 +194,6 @@ func (s *SpanHandle) End() {
 		obsMet().spansDropped.Inc()
 	}
 	t.mu.Unlock()
-}
-
-// Wall returns the span's wall-clock duration (valid after End; 0 for nil).
-func (s *SpanHandle) Wall() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.wall
 }
 
 // AddBusy attributes d of parallel-body work to the span. No-op on nil.

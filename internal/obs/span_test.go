@@ -123,3 +123,14 @@ func TestWriteTable(t *testing.T) {
 		t.Fatalf("empty tracer wrote a table: %q", empty.String())
 	}
 }
+
+// Wall reads a span's recorded wall time for the tests below; no
+// non-test code asks for it.
+
+// Wall returns the span's wall-clock duration (valid after End; 0 for nil).
+func (s *SpanHandle) Wall() time.Duration {
+	if s == nil {
+		return 0
+	}
+	return s.wall
+}

@@ -63,15 +63,6 @@ func (t *Tracer) SetTraceContext(trace TraceID, remoteParent SpanID) {
 	t.remoteParent = remoteParent
 }
 
-// TraceID returns the tracer's trace ID (zero when SetTraceContext was never
-// called — CLI session tracers).
-func (t *Tracer) TraceID() TraceID {
-	if t == nil {
-		return TraceID{}
-	}
-	return t.traceID
-}
-
 // ParseTraceparent parses a W3C traceparent header value:
 // "00-<32 lowercase hex>-<16 lowercase hex>-<2 hex flags>". Per the spec,
 // uppercase hex is invalid, as are all-zero trace or parent IDs; future

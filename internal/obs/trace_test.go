@@ -393,3 +393,20 @@ func TestExportedTraceRoundTripProperty(t *testing.T) {
 		return WriteTraceTree(&render, rt)
 	})
 }
+
+// Truncated and TraceID read tracer state for the tests; no non-test code
+// asks for them.
+
+// Truncated reports whether any span was discarded over the MaxSpans cap —
+// the marker exported traces carry so a missing child reads as "cut off", not
+// "never happened".
+func (t *Tracer) Truncated() bool { return t.Dropped() > 0 }
+
+// TraceID returns the tracer's trace ID (zero when SetTraceContext was never
+// called — CLI session tracers).
+func (t *Tracer) TraceID() TraceID {
+	if t == nil {
+		return TraceID{}
+	}
+	return t.traceID
+}

@@ -53,7 +53,7 @@ func init() {
 // Admission is the server-side backpressure primitive on top of the worker
 // pool: at most maxInFlight acquisitions run concurrently, at most maxQueue
 // more wait for a slot, and everything beyond that is rejected immediately
-// with ErrOverloaded. The pool itself (For/ForErrCtx) bounds CPU parallelism
+// with ErrOverloaded. The pool itself (ForCtx/ForErrCtx) bounds CPU parallelism
 // inside one batch; Admission bounds how many batches are in the building at
 // all, which is what keeps a burst from growing the heap without limit.
 //
@@ -167,21 +167,6 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 // pulled from rotation rather than fed more traffic.
 func (a *Admission) Saturated() bool {
 	return a.InFlight() >= a.max && a.Queued() >= a.maxQ
-}
-
-// TryAcquire is Acquire without waiting: it claims a free slot or returns
-// ErrOverloaded immediately, never joining the queue.
-func (a *Admission) TryAcquire() (release func(), err error) {
-	m := admMet()
-	select {
-	case <-a.slots:
-		m.admitted.Inc()
-		m.inflight.Set(float64(a.InFlight()))
-		return a.releaseFunc(), nil
-	default:
-		m.rejected.Inc()
-		return nil, ErrOverloaded
-	}
 }
 
 // releaseFunc returns the single-use closure handed to an admitted caller.

@@ -186,3 +186,19 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 		r()
 	}
 }
+
+// TryAcquire is Acquire without waiting: it claims a free slot or returns
+// ErrOverloaded immediately, never joining the queue. Only these tests
+// probe the gate without waiting.
+func (a *Admission) TryAcquire() (release func(), err error) {
+	m := admMet()
+	select {
+	case <-a.slots:
+		m.admitted.Inc()
+		m.inflight.Set(float64(a.InFlight()))
+		return a.releaseFunc(), nil
+	default:
+		m.rejected.Inc()
+		return nil, ErrOverloaded
+	}
+}

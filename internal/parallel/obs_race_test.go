@@ -20,7 +20,7 @@ func TestRegistryConcurrentFromParallelFor(t *testing.T) {
 	c := reg.Counter("test.race.counter")
 	g := reg.Gauge("test.race.gauge")
 	h := reg.Histogram("test.race.hist")
-	For(n, func(i int) {
+	err := ForCtx(context.Background(), n, func(i int) {
 		c.Inc()
 		c.Add(2)
 		g.Add(1)
@@ -28,6 +28,9 @@ func TestRegistryConcurrentFromParallelFor(t *testing.T) {
 		// Create-on-first-use from many goroutines must also be safe.
 		reg.Counter("test.race.dynamic").Inc()
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if got := c.Value(); got != 3*n {
 		t.Fatalf("counter = %d, want %d", got, 3*n)
@@ -84,7 +87,7 @@ func TestSnapshotDuringConcurrentWrites(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		For(2000, func(i int) { c.Inc() })
+		_ = ForCtx(context.Background(), 2000, func(i int) { c.Inc() })
 	}()
 	var last int64
 	for i := 0; i < 50; i++ {

@@ -35,7 +35,7 @@ var configured atomic.Int64
 // atomically by the OnDefault hook, so obs.SetDefault is safe to call while
 // loops run: each loop binds its handle set once at entry.
 type poolMetrics struct {
-	loops   *obs.Counter // parallel.loops — For/ForErr/ForCtx/ForErrCtx calls
+	loops   *obs.Counter // parallel.loops — ForCtx/ForErrCtx calls
 	tasks   *obs.Counter // parallel.tasks — loop bodies executed
 	busyNS  *obs.Counter // parallel.busy_ns — summed body wall time
 	cancels *obs.Counter // parallel.cancellations — loops that returned ctx.Err()
@@ -66,7 +66,7 @@ func init() {
 	})
 }
 
-// SetWorkers pins the process-wide worker count used by For and ForErr.
+// SetWorkers pins the process-wide worker count used by ForCtx and ForErrCtx.
 // n <= 0 restores the default (runtime.NumCPU()).
 func SetWorkers(n int) {
 	if n < 0 {
@@ -84,69 +84,15 @@ func Workers() int {
 	return runtime.NumCPU()
 }
 
-// For runs fn(i) for every i in [0, n) on up to Workers() goroutines and
-// returns when all calls have finished. Indices are handed out by an atomic
-// counter, so bodies must not depend on execution order; each body should
-// write only to state owned by its index. With Workers() == 1 (or n <= 1)
-// the loop runs inline on the calling goroutine.
-func For(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	m := met()
-	m.loops.Inc()
-	if m.tasks != nil {
-		inner := fn
-		fn = func(i int) {
-			start := time.Now()
-			inner(i)
-			m.tasks.Inc()
-			m.busyNS.Add(int64(time.Since(start)))
-		}
-	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForErr runs fn(i) for every i in [0, n) like For and returns the error of
-// the lowest failing index — the same error a serial loop that stops at the
-// first failure would report. Once any index fails, indices above the lowest
-// known failure are skipped (their slots stay zero), mirroring the serial
-// early exit; indices below it still run, which is harmless because slot
-// writes are independent.
-func ForErr(n int, fn func(i int) error) error {
-	return ForErrCtx(context.Background(), n, fn)
-}
-
-// ForCtx is For with cooperative cancellation: once ctx is cancelled no new
-// index is started (indices already running finish normally), and the
-// returned error is ctx.Err(). A nil return means every index ran and ctx
-// was still live when the loop finished. Bodies that want finer-grained
-// cancellation can check ctx themselves.
+// ForCtx runs fn(i) for every i in [0, n) on up to Workers() goroutines and
+// returns when all started calls have finished. Indices are handed out by an
+// atomic counter, so bodies must not depend on execution order; each body
+// should write only to state owned by its index. With Workers() == 1 (or
+// n <= 1) the loop runs inline on the calling goroutine. Once ctx is
+// cancelled no new index is started (indices already running finish
+// normally), and the returned error is ctx.Err(). A nil return means every
+// index ran and ctx was still live when the loop finished. Bodies that want
+// finer-grained cancellation can check ctx themselves.
 func ForCtx(ctx context.Context, n int, fn func(i int)) error {
 	return ForErrCtx(ctx, n, func(i int) error {
 		fn(i)
@@ -154,11 +100,15 @@ func ForCtx(ctx context.Context, n int, fn func(i int)) error {
 	})
 }
 
-// ForErrCtx is ForErr with cooperative cancellation. The error contract is
-// deterministic:
+// ForErrCtx runs fn(i) for every i in [0, n) like ForCtx and is the pool's
+// one goroutine loop. Once any index fails, indices above the lowest known
+// failure are skipped (their slots stay zero), mirroring a serial loop's
+// early exit; indices below it still run, which is harmless because slot
+// writes are independent. The error contract is deterministic:
 //
 //   - if any body returned an error, the error of the lowest failing index is
-//     returned (exactly like ForErr), regardless of cancellation;
+//     returned — the error a serial loop stopping at its first failure
+//     reports — regardless of cancellation;
 //   - otherwise, if ctx is cancelled by the time the loop returns, ctx.Err()
 //     is returned (some indices may have been skipped);
 //   - otherwise nil.

@@ -32,7 +32,9 @@ func TestForCoversAllIndices(t *testing.T) {
 		SetWorkers(w)
 		const n = 1000
 		out := make([]int64, n)
-		For(n, func(i int) { atomic.AddInt64(&out[i], 1) })
+		if err := ForCtx(context.Background(), n, func(i int) { atomic.AddInt64(&out[i], 1) }); err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", w, i, v)
@@ -46,20 +48,18 @@ func TestForZeroAndOne(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
 	ran := 0
-	For(0, func(int) { ran++ })
-	if ran != 0 {
-		t.Fatalf("For(0) ran %d times", ran)
+	if err := ForCtx(context.Background(), 0, func(int) { ran++ }); err != nil || ran != 0 {
+		t.Fatalf("ForCtx(0) ran %d times, err %v", ran, err)
 	}
-	For(1, func(int) { ran++ })
-	if ran != 1 {
-		t.Fatalf("For(1) ran %d times", ran)
+	if err := ForCtx(context.Background(), 1, func(int) { ran++ }); err != nil || ran != 1 {
+		t.Fatalf("ForCtx(1) ran %d times, err %v", ran, err)
 	}
 }
 
 func TestForErrReturnsLowestIndexError(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		SetWorkers(w)
-		err := ForErr(100, func(i int) error {
+		err := ForErrCtx(context.Background(), 100, func(i int) error {
 			if i == 7 || i == 50 {
 				return fmt.Errorf("fail at %d", i)
 			}
@@ -75,7 +75,7 @@ func TestForErrReturnsLowestIndexError(t *testing.T) {
 func TestForErrNilOnSuccess(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
-	if err := ForErr(64, func(int) error { return nil }); err != nil {
+	if err := ForErrCtx(context.Background(), 64, func(int) error { return nil }); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestForErrPropagatesSentinel(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
 	sentinel := errors.New("boom")
-	err := ForErr(10, func(i int) error {
+	err := ForErrCtx(context.Background(), 10, func(i int) error {
 		if i == 0 {
 			return sentinel
 		}

@@ -29,22 +29,6 @@ func (d *Dataset) Append(trace []float64, label, program int) {
 	d.Programs = append(d.Programs, program)
 }
 
-// SplitByProgram partitions the dataset into traces whose program ID
-// satisfies pred (first return) and the rest (second). The paper's practical
-// scenario trains on programs 0..n-2 and tests on the held-out program.
-func (d *Dataset) SplitByProgram(pred func(program int) bool) (in, out *Dataset) {
-	in = &Dataset{ClassNames: d.ClassNames, DeviceID: d.DeviceID}
-	out = &Dataset{ClassNames: d.ClassNames, DeviceID: d.DeviceID}
-	for i := range d.Traces {
-		if pred(d.Programs[i]) {
-			in.Append(d.Traces[i], d.Labels[i], d.Programs[i])
-		} else {
-			out.Append(d.Traces[i], d.Labels[i], d.Programs[i])
-		}
-	}
-	return in, out
-}
-
 // SplitRandom shuffles and splits the dataset into train/test with the given
 // training fraction, preserving per-trace metadata. This is the paper's
 // initial (non-practical) scenario where train and test share program files.

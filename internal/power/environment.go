@@ -25,12 +25,6 @@ func NewDevice(cfg Config, id int) *Device {
 	return d
 }
 
-// Gain returns the device's multiplicative measurement gain.
-func (d *Device) Gain() float64 { return d.gain }
-
-// Offset returns the device's additive measurement offset.
-func (d *Device) Offset() float64 { return d.offset }
-
 // mismatch returns the device-specific multiplicative perturbation of one
 // signature component. The golden device returns exactly 1.
 func (d *Device) mismatch(classKey, component uint64) float64 {
@@ -100,12 +94,6 @@ func NewFieldProgramEnv(cfg Config, seed uint64, id int, severity float64) *Prog
 	return p
 }
 
-// Gain returns the program's multiplicative shift component.
-func (p *ProgramEnv) Gain() float64 { return p.gain }
-
-// Offset returns the program's DC offset component.
-func (p *ProgramEnv) Offset() float64 { return p.offset }
-
 // Disturbance evaluates the program's additive low-frequency disturbance at
 // sample t.
 func (p *ProgramEnv) Disturbance(t int) float64 {
@@ -114,10 +102,4 @@ func (p *ProgramEnv) Disturbance(t int) float64 {
 		v += d.amp * math.Sin(2*math.Pi*d.freq*float64(t)+d.phase)
 	}
 	return v
-}
-
-// NeutralProgramEnv returns an environment with no shift — useful for
-// isolating other effects in tests and ablations.
-func NeutralProgramEnv(id int) *ProgramEnv {
-	return &ProgramEnv{ID: id, gain: 1}
 }

@@ -197,19 +197,19 @@ func TestProgramShiftMovesTrace(t *testing.T) {
 func TestDeviceZeroIsGolden(t *testing.T) {
 	cfg := testConfig()
 	d0 := NewDevice(cfg, 0)
-	if d0.Gain() != 1 || d0.Offset() != 0 {
-		t.Fatalf("device 0 must be neutral: gain=%g offset=%g", d0.Gain(), d0.Offset())
+	if d0.gain != 1 || d0.offset != 0 {
+		t.Fatalf("device 0 must be neutral: gain=%g offset=%g", d0.gain, d0.offset)
 	}
 	if d0.mismatch(123, 4) != 1 {
 		t.Fatal("device 0 must have no mismatch")
 	}
 	d1 := NewDevice(cfg, 1)
-	if d1.Gain() == 1 && d1.Offset() == 0 {
+	if d1.gain == 1 && d1.offset == 0 {
 		t.Fatal("device 1 should differ from golden")
 	}
 	// Determinism.
 	d1b := NewDevice(cfg, 1)
-	if d1.Gain() != d1b.Gain() || d1.Offset() != d1b.Offset() {
+	if d1.gain != d1b.gain || d1.offset != d1b.offset {
 		t.Fatal("device derivation must be deterministic")
 	}
 	if d1.mismatch(9, 9) != d1b.mismatch(9, 9) {
@@ -221,15 +221,15 @@ func TestProgramEnvDeterminism(t *testing.T) {
 	cfg := testConfig()
 	a := NewProgramEnv(cfg, 42, 3)
 	b := NewProgramEnv(cfg, 42, 3)
-	if a.Gain() != b.Gain() || a.Offset() != b.Offset() {
+	if a.gain != b.gain || a.offset != b.offset {
 		t.Fatal("program env derivation must be deterministic")
 	}
 	c := NewProgramEnv(cfg, 42, 4)
-	if a.Gain() == c.Gain() && a.Offset() == c.Offset() {
+	if a.gain == c.gain && a.offset == c.offset {
 		t.Fatal("different program IDs should give different environments")
 	}
 	n := NeutralProgramEnv(7)
-	if n.Gain() != 1 || n.Offset() != 0 {
+	if n.gain != 1 || n.offset != 0 {
 		t.Fatal("neutral env must not shift")
 	}
 }
@@ -421,7 +421,7 @@ func TestTraceFiniteProperty(t *testing.T) {
 		dev := NewDevice(cfg, int(devID%6))
 		prog := NewProgramEnv(cfg, uint64(seed), 0)
 		mach := randomizedMachine(rng)
-		seg := avr.NewSegment(rng, avr.RandomOperands(rng, avr.RandomClass(rng)))
+		seg := avr.NewSegment(rng, avr.RandomOperands(rng, avr.Class(rng.Intn(avr.NumClasses))))
 		tr, err := model.Synthesize(rng, mach, TraceContext{Segment: seg, Device: dev, Program: prog})
 		if err != nil {
 			return false
@@ -533,4 +533,43 @@ func TestValidationReportMerge(t *testing.T) {
 	if s := (ValidationReport{Checked: 4}).String(); !strings.Contains(s, "0/4") {
 		t.Fatalf("clean report string %q", s)
 	}
+}
+
+// NeutralProgramEnv returns an environment with no shift — useful for
+// isolating other effects in these tests.
+func NeutralProgramEnv(id int) *ProgramEnv {
+	return &ProgramEnv{ID: id, gain: 1}
+}
+
+// SplitByProgram partitions the dataset into traces whose program ID
+// satisfies pred (first return) and the rest (second). The paper's practical
+// scenario trains on programs 0..n-2 and tests on the held-out program. No
+// non-test code splits a dataset by predicate.
+func (d *Dataset) SplitByProgram(pred func(program int) bool) (in, out *Dataset) {
+	in = &Dataset{ClassNames: d.ClassNames, DeviceID: d.DeviceID}
+	out = &Dataset{ClassNames: d.ClassNames, DeviceID: d.DeviceID}
+	for i := range d.Traces {
+		if pred(d.Programs[i]) {
+			in.Append(d.Traces[i], d.Labels[i], d.Programs[i])
+		} else {
+			out.Append(d.Traces[i], d.Labels[i], d.Programs[i])
+		}
+	}
+	return in, out
+}
+
+// Validate checks every trace against wantLen (<= 0 selects the dataset's
+// modal trace length) and returns the defect counts. It never modifies the
+// dataset; a non-zero Rejected() means Sanitize would drop traces. It is
+// the read-only count the Sanitize tests check Sanitize's drops against.
+func (d *Dataset) Validate(wantLen int) ValidationReport {
+	if wantLen <= 0 {
+		wantLen = d.referenceLen()
+	}
+	var rep ValidationReport
+	for _, tr := range d.Traces {
+		rep.Checked++
+		rep.count(ValidateTrace(tr, wantLen))
+	}
+	return rep
 }

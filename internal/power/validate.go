@@ -163,21 +163,6 @@ func (d *Dataset) referenceLen() int {
 	return best
 }
 
-// Validate checks every trace against wantLen (<= 0 selects the dataset's
-// modal trace length) and returns the defect counts. It never modifies the
-// dataset; a non-zero Rejected() means Sanitize would drop traces.
-func (d *Dataset) Validate(wantLen int) ValidationReport {
-	if wantLen <= 0 {
-		wantLen = d.referenceLen()
-	}
-	var rep ValidationReport
-	for _, tr := range d.Traces {
-		rep.Checked++
-		rep.count(ValidateTrace(tr, wantLen))
-	}
-	return rep
-}
-
 // Sanitize returns a copy of the dataset with every defective trace removed
 // (per-trace rejection — one bad capture never aborts a campaign) plus the
 // report of what was dropped. wantLen <= 0 selects the modal trace length.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -146,7 +147,7 @@ func TestServeLivezReadyzSplit(t *testing.T) {
 	// Loaded registry with a saturated gate: alive, not ready, and readiness
 	// says why.
 	s, url := newTestServer(t, RegistryConfig{}, Config{MaxInFlight: 1, MaxQueue: 0})
-	release, err := s.adm.TryAcquire()
+	release, err := s.adm.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

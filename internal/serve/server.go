@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 
@@ -134,8 +135,16 @@ func NewServer(reg *Registry, cfg Config) *Server {
 	return s
 }
 
+// bodyReadTimeout bounds how long an admitted decode request may take to
+// deliver its body. The request holds a decode slot from admission on, so a
+// client that trickles or stalls its body would otherwise pin the slot until
+// it disconnects; past the deadline it is answered 408 and the slot freed.
+// A variable so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
+
 // Handler returns the route tree, for mounting under an http.Server or a
-// test server.
+// test server. scdisbench's load generator mounts it; ListenAndServe here
+// serves s.mux directly.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // sampleLatency returns the live latency histogram the tail sampler's slow
@@ -222,7 +231,8 @@ type DisassembleResponse struct {
 //
 // ReadTraces parses the body: JSON {"traces": [[...], ...]} or a packed
 // little-endian frame, which skips JSON float formatting for large batches.
-// A body past MaxBodyBytes is 413, any other malformed body 400.
+// A body past MaxBodyBytes is 413, a body not received within
+// bodyReadTimeout of admission 408, any other malformed body 400.
 func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("template")
 	tpl, err := s.reg.Get(name)
@@ -261,6 +271,10 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	// The body deadline starts with the slot. A connection that cannot take
+	// a deadline (ErrNotSupported) keeps the server's own timeouts.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 
 	ctx := r.Context()
 	root := obs.ContextSpan(ctx)
@@ -278,9 +292,17 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 
 	decodeBodySpan := root.FineChild("serve.decode.body")
 	traces, err := ReadTraces(r, s.cfg.MaxBodyBytes, tpl.traceLen)
+	// Clear the deadline once the body is in, so it cannot reach the decode:
+	// net/http reads the connection in the background after the body's EOF,
+	// and a failed read of the connection cancels the request context.
+	_ = rc.SetReadDeadline(time.Time{})
 	decodeBodySpan.SetAttr("traces", float64(len(traces)))
 	decodeBodySpan.End()
 	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			s.writeError(w, http.StatusRequestTimeout, "request body not received within %v", bodyReadTimeout)
+			return
+		}
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // newTestServer stands up a Server over a registry holding the fixture
@@ -203,7 +204,7 @@ func TestServeRejectsMalformedRequests(t *testing.T) {
 func TestServeOverloadSheds(t *testing.T) {
 	s, url := newTestServer(t, RegistryConfig{}, Config{MaxInFlight: 1, MaxQueue: 0, RetryAfter: 3 * time.Second})
 	// MaxQueue 0: no wait queue, so a held slot makes the next request shed.
-	release, err := s.adm.TryAcquire()
+	release, err := s.adm.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,5 +545,142 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if err := <-served; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+}
+
+// shortBodyDeadline sets bodyReadTimeout to d for the rest of the test.
+func shortBodyDeadline(t *testing.T, d time.Duration) {
+	t.Helper()
+	saved := bodyReadTimeout
+	bodyReadTimeout = d
+	t.Cleanup(func() { bodyReadTimeout = saved })
+}
+
+// TestServeStalledBodyLosesSlot pins the body deadline: with one decode
+// slot and no queue, a client that is admitted, sends half its body and
+// stalls is answered 408 and loses the slot within the deadline, and the
+// next client decodes with the serial labels.
+func TestServeStalledBodyLosesSlot(t *testing.T) {
+	shortBodyDeadline(t, 200*time.Millisecond)
+	s, url := newTestServer(t, RegistryConfig{}, Config{MaxInFlight: 1, MaxQueue: 0})
+	body, err := io.ReadAll(jsonBody(fx.traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	type result struct {
+		status int
+		err    error
+	}
+	resc := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/disassemble/demo", "application/json", pr)
+		if err != nil {
+			resc <- result{err: err}
+			return
+		}
+		resp.Body.Close()
+		resc <- result{status: resp.StatusCode}
+	}()
+	if _, err := pw.Write(body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.adm.InFlight() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("request never entered the admission gate")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	admitted := time.Now()
+	// The slot frees at the deadline; allow scheduling slack on top.
+	for s.adm.InFlight() != 0 {
+		if time.Since(admitted) > bodyReadTimeout+5*time.Second {
+			t.Fatalf("stalled body still holds its slot %v after admission (deadline %v)", time.Since(admitted), bodyReadTimeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case res := <-resc:
+		if res.err != nil {
+			t.Fatalf("stalled client: %v", res.err)
+		}
+		if res.status != http.StatusRequestTimeout {
+			t.Fatalf("stalled client status %d, want 408", res.status)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled client got no answer")
+	}
+
+	resp, data := postJSON(t, url+"/v1/disassemble/demo", jsonBody(fx.traces))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next client status %d: %s", resp.StatusCode, data)
+	}
+	texts, _ := decodeTexts(t, data)
+	if len(texts) != len(fx.want) {
+		t.Fatalf("decoded %d instructions, want %d", len(texts), len(fx.want))
+	}
+	for i := range texts {
+		if texts[i] != fx.want[i] {
+			t.Fatalf("decode %d = %q, serial reference %q", i, texts[i], fx.want[i])
+		}
+	}
+}
+
+// TestServeBodyDeadlineClearedBeforeDecode pins the other half of the body
+// deadline: it ends with the body. A deadline that reached the decode would
+// fail net/http's background read of the connection and cancel the request
+// context, so a batch whose decode outlasts the deadline must still answer
+// 200 with the serial labels.
+func TestServeBodyDeadlineClearedBeforeDecode(t *testing.T) {
+	parallel.SetWorkers(1)
+	t.Cleanup(func() { parallel.SetWorkers(0) })
+	s, url := newTestServer(t, RegistryConfig{}, Config{})
+	// Materialize the template first, so the timed request reads its body
+	// right after admission.
+	if resp, data := postJSON(t, url+"/v1/disassemble/demo", jsonBody(fx.traces[:1])); resp.StatusCode != http.StatusOK {
+		t.Fatalf("priming request status %d: %s", resp.StatusCode, data)
+	}
+	var batch [][]float64
+	for len(batch) < 4096 {
+		batch = append(batch, fx.traces...)
+	}
+	tpl, err := s.reg.Get("demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := tpl.disassembler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := d.DisassembleScoredCtx(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	// Half the decode: the binary body arrives well inside it, and the
+	// decode runs well past it.
+	shortBodyDeadline(t, time.Since(start)/2)
+
+	resp, err := http.Post(url+"/v1/disassemble/demo", "application/octet-stream", bytes.NewReader(encodeFrame(batch)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d with a %v body deadline: %s", resp.StatusCode, bodyReadTimeout, data)
+	}
+	texts, _ := decodeTexts(t, data)
+	if len(texts) != len(batch) {
+		t.Fatalf("decoded %d instructions, want %d", len(texts), len(batch))
+	}
+	for i := range texts {
+		if want := fx.want[i%len(fx.traces)]; texts[i] != want {
+			t.Fatalf("decode %d = %q, serial reference %q", i, texts[i], want)
+		}
 	}
 }

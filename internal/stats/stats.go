@@ -248,20 +248,3 @@ func NormalizeTraceWith(dst, x []float64, mean, std float64) {
 		dst[i] = (v - mean) / std
 	}
 }
-
-// Accuracy returns the fraction of positions where pred equals want.
-func Accuracy(pred, want []int) (float64, error) {
-	if len(pred) != len(want) {
-		return 0, fmt.Errorf("stats: Accuracy length mismatch %d vs %d", len(pred), len(want))
-	}
-	if len(pred) == 0 {
-		return 0, errors.New("stats: Accuracy of empty slice")
-	}
-	hit := 0
-	for i := range pred {
-		if pred[i] == want[i] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(pred)), nil
-}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,4 +258,22 @@ func TestAllFinite(t *testing.T) {
 	if AllFinite([]float64{0, math.NaN()}) || AllFinite([]float64{math.Inf(1)}) {
 		t.Fatal("non-finite slice reported finite")
 	}
+}
+
+// Accuracy returns the fraction of positions where pred equals want. No
+// non-test code scores label slices; the classifiers count their own hits.
+func Accuracy(pred, want []int) (float64, error) {
+	if len(pred) != len(want) {
+		return 0, fmt.Errorf("stats: Accuracy length mismatch %d vs %d", len(pred), len(want))
+	}
+	if len(pred) == 0 {
+		return 0, errors.New("stats: Accuracy of empty slice")
+	}
+	hit := 0
+	for i := range pred {
+		if pred[i] == want[i] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(pred)), nil
 }

@@ -23,7 +23,7 @@ import (
 const chunkLen = 64 << 10
 
 // File is an opened v4 template: header decoded and validated eagerly,
-// payload sections read through r only when LoadSection/Template ask for
+// payload sections read through r only when the template loader asks for
 // them. Concurrent loads are safe, and so is Close during one: on a file
 // Open opened, the load's reads then fail with os.ErrClosed. core.Template
 // serializes the two all the same, so that a request racing a reload is
@@ -179,13 +179,17 @@ func routeCheck(byKey map[string]*LevelState, name string) error {
 	return fmt.Errorf("unknown section kind %q", name)
 }
 
-// Sections returns a copy of the section directory.
+// Sections returns a copy of the section directory. Only tests walk it —
+// internal/core's corruption tests among them, which a store test file
+// cannot serve.
 func (f *File) Sections() []SectionInfo {
 	return append([]SectionInfo(nil), f.hdr.Sections...)
 }
 
 // PayloadOffset returns the file offset of the payload region — with
-// SectionInfo.Offset, the absolute position of every section's bytes.
+// SectionInfo.Offset, the absolute position of every section's bytes. Only
+// tests ask — internal/core's corruption and fuzz tests among them, which a
+// store test file cannot serve.
 func (f *File) PayloadOffset() int64 { return f.payloadOff }
 
 // HeaderState returns the eagerly decoded, stripped template state — enough
@@ -241,18 +245,6 @@ func checkCRC(info SectionInfo, crc uint32) error {
 		return sectionFault(info.Name, fmt.Errorf("%w: CRC mismatch (corrupted section, or the file changed on disk after Open)", ErrFormat))
 	}
 	return nil
-}
-
-// LoadSection reads, CRC-checks and decodes one matrix section. Corruption
-// is reported as a SectionError naming the section (wrapping ErrFormat);
-// other sections of the same file remain loadable. Aux sections hold gob
-// blobs, not floats — load those with LoadSectionBytes.
-func (f *File) LoadSection(name string) ([]float64, error) {
-	info, err := f.section(name)
-	if err != nil {
-		return nil, err
-	}
-	return f.loadFloats(info, make([]byte, min(chunkLen, info.byteLen())))
 }
 
 // loadFloats streams one matrix section through buf, whose length is a

@@ -765,3 +765,17 @@ func TestFullReadAtEOFSucceeds(t *testing.T) {
 		t.Fatalf("materializing through a reader that reports EOF at the end: %v", err)
 	}
 }
+
+// LoadSection reads, CRC-checks and decodes one matrix section. Corruption
+// is reported as a SectionError naming the section (wrapping ErrFormat);
+// other sections of the same file remain loadable. Aux sections hold gob
+// blobs, not floats — load those with LoadSectionBytes. The template
+// loader reads matrices through loadFloats directly; only these tests load
+// a section by name.
+func (f *File) LoadSection(name string) ([]float64, error) {
+	info, err := f.section(name)
+	if err != nil {
+		return nil, err
+	}
+	return f.loadFloats(info, make([]byte, min(chunkLen, info.byteLen())))
+}

@@ -18,7 +18,7 @@ import (
 //
 // Deprecated: it has no fields and nothing reads it. It remains only so
 // callers that still pass store.Options{} to core.Disassembler.SaveStore
-// compile.
+// compile — scdisbench's fleet set-up does (ROADMAP item 1 retires it).
 type Options struct{}
 
 // section is a directory entry still carrying its payload, writer-side.

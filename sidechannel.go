@@ -49,8 +49,6 @@ type (
 	ClassifierKind = core.ClassifierKind
 	// FlowMismatch is one disagreement between golden and observed flows.
 	FlowMismatch = core.FlowMismatch
-	// DetectionResult summarizes a malware check.
-	DetectionResult = core.DetectionResult
 )
 
 // ISA model types.
@@ -130,7 +128,9 @@ func CSAPipeline() PipelineConfig { return features.CSAPipelineConfig() }
 func BasePipeline() PipelineConfig { return features.DefaultPipelineConfig() }
 
 // Train builds a full 112-class disassembler with register recovery.
-func Train(cfg Config) (*Disassembler, *TrainReport, error) { return core.Train(cfg) }
+func Train(cfg Config) (*Disassembler, *TrainReport, error) {
+	return core.TrainCtx(context.Background(), cfg)
+}
 
 // TrainCtx is Train with cooperative cancellation: cancelling ctx stops the
 // campaign from scheduling new work and returns ctx.Err() promptly. Work
@@ -142,12 +142,13 @@ func TrainCtx(ctx context.Context, cfg Config) (*Disassembler, *TrainReport, err
 // TrainSubset builds a disassembler restricted to the given classes —
 // useful for quick demonstrations.
 func TrainSubset(cfg Config, classes []Class, withRegisters bool) (*Disassembler, error) {
-	return core.TrainSubset(cfg, classes, withRegisters)
+	return TrainSubsetCtx(context.Background(), cfg, classes, withRegisters)
 }
 
 // TrainSubsetCtx is TrainSubset with cooperative cancellation.
 func TrainSubsetCtx(ctx context.Context, cfg Config, classes []Class, withRegisters bool) (*Disassembler, error) {
-	return core.TrainSubsetCtx(ctx, cfg, classes, withRegisters)
+	d, _, err := core.TrainSubsetReportCtx(ctx, cfg, classes, withRegisters)
+	return d, err
 }
 
 // ValidateTrace checks one trace for the defects the pipeline rejects:

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/features"
@@ -79,19 +80,25 @@ func BenchmarkLabeledRequestAccounting(b *testing.B) {
 
 // BenchmarkRequestTracingBundle times everything request tracing adds to an
 // UNSAMPLED request — the common case a 1% sample rate leaves: mint a trace
-// ID, build the fine per-request tracer, open the root plus the handler's
-// fine stage spans with their attrs, format the traceparent echo, and run the
-// tail-sampling decision to a drop. Export and ring push are excluded on
-// purpose: they only run for kept traces, off the common path.
+// ID, take the fine per-request tracer from its pool and reset it, open the
+// root plus the handler's fine stage spans with their attrs, format the
+// traceparent echo, run the tail-sampling decision to a drop and return the
+// tracer. Export and ring push are excluded on purpose: they only run for
+// kept traces, off the common path.
 func BenchmarkRequestTracingBundle(b *testing.B) {
 	sampler := obs.NewTailSampler(0, obs.NewHistogram(obs.DurationBuckets()))
+	tracers := sync.Pool{New: func() any {
+		t := obs.NewTracer()
+		t.Fine = true
+		t.MaxSpans = 512
+		return t
+	}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tracer := obs.NewTracer()
-		tracer.Fine = true
-		tracer.MaxSpans = 512
+		tracer := tracers.Get().(*obs.Tracer)
+		tracer.Reset()
 		traceID := obs.NewTraceID()
 		tracer.SetTraceContext(traceID, obs.SpanID{})
 		sctx, root := obs.Span(obs.WithTracer(ctx, tracer), "serve.request")
@@ -109,6 +116,7 @@ func BenchmarkRequestTracingBundle(b *testing.B) {
 		if keep, _ := sampler.Decide(200, 0, false); keep {
 			b.Fatal("rate-0 sampler kept a healthy trace")
 		}
+		tracers.Put(tracer)
 		_ = sctx
 	}
 }

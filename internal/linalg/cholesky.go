@@ -140,6 +140,49 @@ func (c *Cholesky) MahalanobisSqWith(y, x, mu []float64) (float64, error) {
 	return q, nil
 }
 
+// MahalanobisSq4 is MahalanobisSqWith for four factorizations of one order
+// n at once: q[k] is bitwise cs[k].MahalanobisSqWith(·, x, mus[k]). It
+// walks the four forward substitutions row by row, each in
+// MahalanobisSqWith's order, so four independent chains of adds overlap.
+// y is scratch of at least 4n values and is overwritten.
+func MahalanobisSq4(q *[4]float64, y, x []float64, cs *[4]*Cholesky, mus *[4][]float64) error {
+	n := len(x)
+	for k, c := range cs {
+		if c.n != n || len(mus[k]) != n {
+			return fmt.Errorf("%w: MahalanobisSq4 factor %d of order %d, mean %d, x %d", ErrShape, k, c.n, len(mus[k]), n)
+		}
+	}
+	if len(y) < 4*n {
+		return fmt.Errorf("%w: MahalanobisSq4 scratch %d < 4×%d", ErrShape, len(y), n)
+	}
+	y0, y1, y2, y3 := y[:n], y[n:2*n], y[2*n:3*n], y[3*n:4*n]
+	m0, m1, m2, m3 := mus[0][:n], mus[1][:n], mus[2][:n], mus[3][:n]
+	for i, xi := range x {
+		// Row i of each factor up to the diagonal.
+		l0 := cs[0].L.Data[i*n:][:i+1]
+		l1 := cs[1].L.Data[i*n:][:i+1]
+		l2 := cs[2].L.Data[i*n:][:i+1]
+		l3 := cs[3].L.Data[i*n:][:i+1]
+		s0, s1, s2, s3 := xi-m0[i], xi-m1[i], xi-m2[i], xi-m3[i]
+		for k := 0; k < i; k++ {
+			s0 -= l0[k] * y0[k]
+			s1 -= l1[k] * y1[k]
+			s2 -= l2[k] * y2[k]
+			s3 -= l3[k] * y3[k]
+		}
+		y0[i], y1[i], y2[i], y3[i] = s0/l0[i], s1/l1[i], s2/l2[i], s3/l3[i]
+	}
+	var q0, q1, q2, q3 float64
+	for i := range x {
+		q0 += y0[i] * y0[i]
+		q1 += y1[i] * y1[i]
+		q2 += y2[i] * y2[i]
+		q3 += y3[i] * y3[i]
+	}
+	*q = [4]float64{q0, q1, q2, q3}
+	return nil
+}
+
 // CholeskyFromFactor wraps an existing lower-triangular factor L (e.g. one
 // restored from persisted classifier state) as a usable factorization. The
 // factor is validated — square shape, finite entries, strictly positive

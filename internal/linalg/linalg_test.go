@@ -548,3 +548,117 @@ func (c *Cholesky) Inverse() (*Matrix, error) {
 func (c *Cholesky) MahalanobisSq(x, mu []float64) (float64, error) {
 	return c.MahalanobisSqWith(make([]float64, c.n), x, mu)
 }
+
+// bitsEqual reports whether two vectors hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomFactor is a lower-triangular n×n factor with a positive diagonal,
+// wrapped as a Cholesky.
+func randomFactor(t *testing.T, rng *rand.Rand, n int) *Cholesky {
+	t.Helper()
+	L := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < i; k++ {
+			L.Set(i, k, rng.NormFloat64()/math.Sqrt(float64(n)))
+		}
+		L.Set(i, i, 0.5+rng.Float64())
+	}
+	c, err := CholeskyFromFactor(L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// randomVec draws n standard-normal values.
+func randomVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// TestMulVecIntoMatchesDot is the bitwise oracle of the four-rows-per-pass
+// projection: every value equals Dot of its row with x, for row counts on
+// and off multiples of four and lengths from 1 to 1200.
+func TestMulVecIntoMatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shapes := [][2]int{{1, 1}, {3, 1200}, {4, 1}, {5, 7}, {7, 64}, {8, 3}, {13, 1179}, {17, 315}}
+	for i := 0; i < 12; i++ {
+		shapes = append(shapes, [2]int{1 + rng.Intn(23), 1 + rng.Intn(1200)})
+	}
+	for _, sh := range shapes {
+		m := NewMatrix(sh[0], sh[1])
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		x := randomVec(rng, sh[1])
+		got := make([]float64, sh[0])
+		if err := m.MulVecInto(got, x); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, sh[0])
+		for i := range want {
+			want[i] = Dot(m.Row(i), x)
+		}
+		if !bitsEqual(got, want) {
+			t.Fatalf("%dx%d: MulVecInto differs from per-row Dot", sh[0], sh[1])
+		}
+	}
+}
+
+// TestMahalanobisSq4MatchesPerFactor is the bitwise oracle of the
+// four-factor solve: each value equals its factor's MahalanobisSqWith, for
+// orders from 1 to 1200.
+func TestMahalanobisSq4MatchesPerFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	orders := []int{1, 2, 3, 5, 64, 1200}
+	for i := 0; i < 4; i++ {
+		orders = append(orders, 1+rng.Intn(400))
+	}
+	for _, n := range orders {
+		var cs [4]*Cholesky
+		var mus [4][]float64
+		for k := range cs {
+			cs[k], mus[k] = randomFactor(t, rng, n), randomVec(rng, n)
+		}
+		x := randomVec(rng, n)
+		var got [4]float64
+		if err := MahalanobisSq4(&got, make([]float64, 4*n), x, &cs, &mus); err != nil {
+			t.Fatal(err)
+		}
+		for k := range cs {
+			want, err := cs[k].MahalanobisSqWith(make([]float64, n), x, mus[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got[k]) != math.Float64bits(want) {
+				t.Fatalf("order %d factor %d: %v, MahalanobisSqWith %v", n, k, got[k], want)
+			}
+		}
+	}
+	// Shapes that do not fit are errors, not panics.
+	var cs [4]*Cholesky
+	var mus [4][]float64
+	for k := range cs {
+		cs[k], mus[k] = randomFactor(t, rng, 3), randomVec(rng, 3)
+	}
+	var q [4]float64
+	if err := MahalanobisSq4(&q, make([]float64, 12), make([]float64, 4), &cs, &mus); !errors.Is(err, ErrShape) {
+		t.Errorf("x of the wrong length: %v, want ErrShape", err)
+	}
+	if err := MahalanobisSq4(&q, make([]float64, 11), make([]float64, 3), &cs, &mus); !errors.Is(err, ErrShape) {
+		t.Errorf("short scratch: %v, want ErrShape", err)
+	}
+}

@@ -75,12 +75,30 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // MulVecInto writes m·x into dst, which must hold m.Rows values and must
-// not overlap x.
+// not overlap x. Each value is bitwise Dot(m.Row(i), x): four rows are
+// summed per pass over x, each in Dot's order, so four independent chains
+// of adds overlap instead of one running at a time. Leftover rows use Dot.
 func (m *Matrix) MulVecInto(dst, x []float64) error {
 	if m.Cols != len(x) || len(dst) != m.Rows {
 		return fmt.Errorf("%w: MulVec %dx%d · %d into %d", ErrShape, m.Rows, m.Cols, len(x), len(dst))
 	}
-	for i := 0; i < m.Rows; i++ {
+	n := len(x)
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*n:][:n]
+		r1 := m.Data[(i+1)*n:][:n]
+		r2 := m.Data[(i+2)*n:][:n]
+		r3 := m.Data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		dst[i] = Dot(m.Row(i), x)
 	}
 	return nil

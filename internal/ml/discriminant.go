@@ -131,11 +131,12 @@ func (l *LDA) PredictScoredScratch(x []float64, s *Scratch) (ScoredPrediction, e
 // covariance matrices. This is the classifier that achieves the paper's
 // headline 99.03 % instruction+register recognition.
 type QDA struct {
-	means   [][]float64
-	chols   []*linalg.Cholesky
-	logDets []float64
-	priors  []float64
-	nc, p   int
+	means     [][]float64
+	chols     []*linalg.Cholesky
+	logDets   []float64
+	priors    []float64
+	logPriors []float64 // math.Log(priors[c]), computed once
+	nc, p     int
 }
 
 // NewQDA returns an untrained QDA classifier.
@@ -179,7 +180,17 @@ func (q *QDA) Fit(X [][]float64, y []int) error {
 		q.priors[c] = float64(len(idx)) / float64(len(X))
 	}
 	q.nc, q.p = nc, p
+	q.logPriors = logs(q.priors)
 	return nil
+}
+
+// logs returns math.Log of every value.
+func logs(v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = math.Log(x)
+	}
+	return out
 }
 
 // Scores returns the per-class quadratic discriminant values (log posterior
@@ -188,8 +199,10 @@ func (q *QDA) Scores(x []float64) ([]float64, error) {
 	return q.ScoresScratch(x, &Scratch{})
 }
 
-// ScoresScratch implements ScratchScorer; every class's Mahalanobis solve
-// reuses the scratch's solve vector.
+// ScoresScratch implements ScratchScorer. The Mahalanobis solves run four
+// classes per pass (linalg.MahalanobisSq4) in the scratch's solve vectors,
+// and leftover classes one at a time; every score is bitwise the per-class
+// MahalanobisSqWith loop's.
 func (q *QDA) ScoresScratch(x []float64, s *Scratch) ([]float64, error) {
 	if len(q.chols) == 0 {
 		return nil, errors.New("ml: QDA used before Fit")
@@ -198,18 +211,28 @@ func (q *QDA) ScoresScratch(x []float64, s *Scratch) ([]float64, error) {
 		return nil, errDim(len(x), q.p)
 	}
 	out := take(&s.scores, q.nc)
-	y := take(&s.solve, q.p)
-	for c := 0; c < q.nc; c++ {
-		m, err := q.chols[c].MahalanobisSqWith(y, x, q.means[c])
+	y := take(&s.solve, 4*q.p)
+	c := 0
+	for ; c+4 <= q.nc; c += 4 {
+		var m [4]float64
+		if err := linalg.MahalanobisSq4(&m, y, x, (*[4]*linalg.Cholesky)(q.chols[c:c+4]), (*[4][]float64)(q.means[c:c+4])); err != nil {
+			return nil, err
+		}
+		for k, mk := range m {
+			out[c+k] = -0.5*q.logDets[c+k] - 0.5*mk + q.logPriors[c+k]
+		}
+	}
+	for ; c < q.nc; c++ {
+		m, err := q.chols[c].MahalanobisSqWith(y[:q.p], x, q.means[c])
 		if err != nil {
 			return nil, err
 		}
-		out[c] = -0.5*q.logDets[c] - 0.5*m + math.Log(q.priors[c])
+		out[c] = -0.5*q.logDets[c] - 0.5*m + q.logPriors[c]
 	}
 	return out, nil
 }
 
-func (q *QDA) reserve(s *Scratch) { s.reserve(q.nc, q.p) }
+func (q *QDA) reserve(s *Scratch) { s.reserve(q.nc, 4*q.p) }
 
 // Predict implements Classifier.
 func (q *QDA) Predict(x []float64) (int, error) {

@@ -2,11 +2,13 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/linalg"
 	"repro/internal/stats"
 )
 
@@ -384,4 +386,92 @@ func (s *SVM) NumSupportVectors() int {
 		n += len(m.sv)
 	}
 	return n
+}
+
+// parentQDAScores is QDA's scoring loop as it was before the four-class
+// solve: one MahalanobisSqWith per class and the log prior taken per class.
+func parentQDAScores(q *QDA, x []float64) ([]float64, error) {
+	out := make([]float64, q.nc)
+	y := make([]float64, q.p)
+	for c := 0; c < q.nc; c++ {
+		m, err := q.chols[c].MahalanobisSqWith(y, x, q.means[c])
+		if err != nil {
+			return nil, err
+		}
+		out[c] = -0.5*q.logDets[c] - 0.5*m + math.Log(q.priors[c])
+	}
+	return out, nil
+}
+
+// TestQDAScoresMatchPerClassLoop pins the four-class solve bitwise against
+// the per-class loop it replaced, for class counts on and off multiples of
+// four, through one reused Scratch, on restored and freshly fitted models.
+func TestQDAScoresMatchPerClassLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	s := &Scratch{}
+	check := func(name string, q *QDA) {
+		t.Helper()
+		for trial := 0; trial < 3; trial++ {
+			x := make([]float64, q.p)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			want, err := parentQDAScores(q, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := q.ScoresScratch(x, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := range want {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("%s: class %d score %v, per-class loop %v", name, c, got[c], want[c])
+				}
+			}
+		}
+	}
+	for _, sh := range [][2]int{{2, 1}, {3, 40}, {4, 7}, {5, 1}, {6, 315}, {7, 64}, {9, 300}, {11, 13}} {
+		nc, p := sh[0], sh[1]
+		st := &QDAState{}
+		for c := 0; c < nc; c++ {
+			L := linalg.NewMatrix(p, p)
+			for i := 0; i < p; i++ {
+				for k := 0; k < i; k++ {
+					L.Set(i, k, rng.NormFloat64()/math.Sqrt(float64(p)))
+				}
+				L.Set(i, i, 0.5+rng.Float64())
+			}
+			mu := make([]float64, p)
+			for i := range mu {
+				mu[i] = rng.NormFloat64()
+			}
+			st.Means = append(st.Means, mu)
+			st.Factors = append(st.Factors, L)
+			st.Priors = append(st.Priors, (1+rng.Float64())/float64(2*nc))
+		}
+		q, err := QDAFromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("restored %d classes × %d", nc, p), q)
+	}
+	// A fitted model: 6 classes of 5-dimensional Gaussians.
+	var X [][]float64
+	var y []int
+	for c := 0; c < 6; c++ {
+		for i := 0; i < 30; i++ {
+			row := make([]float64, 5)
+			for j := range row {
+				row[j] = float64(c) + rng.NormFloat64()*(1+float64(j%3))
+			}
+			X = append(X, row)
+			y = append(y, c)
+		}
+	}
+	q := NewQDA()
+	if err := q.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	check("fitted 6 classes × 5", q)
 }

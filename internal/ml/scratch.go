@@ -10,7 +10,7 @@ type Scratch struct {
 	scores []float64 // per-class scores, log posteriors or vote weights
 	post   []float64 // per-class posteriors
 	margin []float64 // SVM per-class total margins
-	solve  []float64 // QDA solve vector, one feature dimension long
+	solve  []float64 // QDA solve vectors, four feature dimensions long
 	votes  []int     // SVM per-class votes
 	nbs    neighbours
 }
@@ -28,7 +28,7 @@ func NewScratch(clfs ...Classifier) *Scratch {
 	return s
 }
 
-// reserve grows s for nc classes and p feature dimensions.
+// reserve grows s for nc classes and a solve vector of p values.
 func (s *Scratch) reserve(nc, p int) {
 	take(&s.scores, nc)
 	take(&s.post, nc)

@@ -134,6 +134,7 @@ func QDAFromState(st *QDAState) (*QDA, error) {
 		q.chols = append(q.chols, ch)
 		q.logDets = append(q.logDets, ch.LogDet())
 	}
+	q.logPriors = logs(q.priors)
 	return q, nil
 }
 

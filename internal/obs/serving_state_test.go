@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestTracerResetReusable pins the serving contract of Reset: a tracer
@@ -168,25 +167,4 @@ func TestSetDefaultConcurrentWithRecording(t *testing.T) {
 	if got := last.Snapshot().Counters["obs.decisions.seen"]; got < 1 {
 		t.Fatalf("final registry saw %d decisions, want >= 1", got)
 	}
-}
-
-// Reset is how a test reuses one tracer; no non-test code reuses tracers.
-
-// Reset discards every recorded span, clears the drop count and re-anchors
-// the tracer at the current time, so one tracer can be reused across many
-// runs (or requests) without accumulating spans for the process lifetime —
-// without it, a long-running server fills the MaxSpans cap once and then
-// silently drops every span while holding the full buffer forever. Spans
-// still in flight when Reset is called land in the post-reset buffer; their
-// timings are valid, only their start offsets predate the new anchor. No-op
-// on a nil tracer.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.start = time.Now()
-	t.mu.Unlock()
-	t.dropped.Store(0)
 }

@@ -16,9 +16,18 @@ import (
 // concurrent use: spans started from parallel workers record themselves
 // under a single mutex at End (stage granularity, never per-point). The
 // span count is capped so a runaway loop cannot exhaust memory.
+//
+// A tracer keeps the span handles it hands out, up to MaxSpans, and Reset
+// recycles them together with its span slice, so a tracer reused run after
+// run (the server's pooled request tracers) records a tree of the same
+// shape without allocating.
 type Tracer struct {
-	mu      sync.Mutex
-	spans   []*SpanHandle
+	mu    sync.Mutex
+	spans []*SpanHandle
+	// handles are the span handles kept for recycling, at most MaxSpans;
+	// handles[:used] belong to the current run.
+	handles []*SpanHandle
+	used    int
 	nextID  atomic.Int64
 	start   time.Time
 	dropped atomic.Int64
@@ -40,6 +49,63 @@ type Tracer struct {
 // NewTracer returns an empty tracer anchored at the current time.
 func NewTracer() *Tracer {
 	return &Tracer{start: time.Now(), MaxSpans: 8192}
+}
+
+// maxSpans is MaxSpans, defaulted.
+func (t *Tracer) maxSpans() int {
+	if t.MaxSpans <= 0 {
+		return 8192
+	}
+	return t.MaxSpans
+}
+
+// Reset empties the tracer for its next run: it discards every recorded
+// span, clears the drop count and the trace identity, and re-anchors the
+// tracer at the current time. The previous run's span handles are recycled
+// by the spans of the next, so Reset may only run once none of them is in
+// use — for a request tracer, after the request's root span has ended and
+// its trace has been exported or dropped. Without Reset, a tracer reused
+// across runs would fill its MaxSpans cap once and then drop every span.
+// No-op on a nil tracer.
+func (t *Tracer) Reset() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.spans = t.spans[:0]
+	t.used = 0
+	t.start = time.Now()
+	t.traceID, t.remoteParent = TraceID{}, SpanID{}
+	t.mu.Unlock()
+	t.nextID.Store(0)
+	t.dropped.Store(0)
+}
+
+// newSpan starts a span named name under parent (0 for a root): a recycled
+// handle while the tracer has a spare one, otherwise a fresh handle, which
+// the tracer keeps for its next run while it holds fewer than MaxSpans.
+func (t *Tracer) newSpan(name string, parent int64) *SpanHandle {
+	var s *SpanHandle
+	t.mu.Lock()
+	switch {
+	case t.used < len(t.handles):
+		s = t.handles[t.used]
+		t.used++
+		*s = SpanHandle{attrs: s.attrs[:0]}
+	case len(t.handles) < t.maxSpans():
+		s = &SpanHandle{}
+		t.handles = append(t.handles, s)
+		t.used++
+	default:
+		s = &SpanHandle{}
+	}
+	t.mu.Unlock()
+	s.tracer = t
+	s.id = t.nextID.Add(1)
+	s.parent = parent
+	s.name = name
+	s.start = time.Now()
+	return s
 }
 
 // Dropped reports how many spans were discarded over the MaxSpans cap.
@@ -96,23 +162,52 @@ type SpanHandle struct {
 	ended   atomic.Bool
 
 	attrMu sync.Mutex
-	attrs  map[string]float64
+	attrs  []spanAttr // in first-set order, one per name
+}
+
+// spanAttr is one named attribute of a span. A span holds a handful, so a
+// slice scanned by name costs less than a map, and a recycled span keeps
+// the slice's capacity.
+type spanAttr struct {
+	name string
+	v    float64
 }
 
 // SetAttr attaches a named numeric attribute to the span (drift score,
 // decisions recorded, mean confidence...), rendered in the span tree and
-// manifest. Non-finite values are dropped so the trace JSON stays valid.
-// No-op on a nil receiver.
+// manifest; setting a name again replaces its value. Non-finite values are
+// dropped so the trace JSON stays valid. No-op on a nil receiver.
 func (s *SpanHandle) SetAttr(name string, v float64) {
 	if s == nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	s.attrMu.Lock()
-	if s.attrs == nil {
-		s.attrs = map[string]float64{}
+	defer s.attrMu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].name == name {
+			s.attrs[i].v = v
+			return
+		}
 	}
-	s.attrs[name] = v
-	s.attrMu.Unlock()
+	if s.attrs == nil {
+		s.attrs = make([]spanAttr, 0, 4)
+	}
+	s.attrs = append(s.attrs, spanAttr{name, v})
+}
+
+// attrMap copies the span's attributes into a new map, or returns nil when
+// it has none: only the trees and exports a tracer returns build maps.
+func (s *SpanHandle) attrMap() map[string]float64 {
+	s.attrMu.Lock()
+	defer s.attrMu.Unlock()
+	if len(s.attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]float64, len(s.attrs))
+	for _, a := range s.attrs {
+		m[a.name] = a.v
+	}
+	return m
 }
 
 // Span starts a named span under ctx's tracer (nesting under ctx's current
@@ -124,16 +219,12 @@ func Span(ctx context.Context, name string) (context.Context, *SpanHandle) {
 	if t == nil {
 		return ctx, nil
 	}
-	sp := &SpanHandle{
-		tracer:   t,
-		id:       t.nextID.Add(1),
-		name:     name,
-		start:    time.Now(),
-		cpuStart: processCPUNanos(),
+	var parent int64
+	if p := ContextSpan(ctx); p != nil {
+		parent = p.id
 	}
-	if parent := ContextSpan(ctx); parent != nil {
-		sp.parent = parent.id
-	}
+	sp := t.newSpan(name, parent)
+	sp.cpuStart = processCPUNanos()
 	return context.WithValue(ctx, spanKey, sp), sp
 }
 
@@ -146,13 +237,7 @@ func (s *SpanHandle) Child(name string) *SpanHandle {
 	if s == nil || s.tracer == nil {
 		return nil
 	}
-	return &SpanHandle{
-		tracer: s.tracer,
-		id:     s.tracer.nextID.Add(1),
-		parent: s.id,
-		name:   name,
-		start:  time.Now(),
-	}
+	return s.tracer.newSpan(name, s.id)
 }
 
 // FineChild is Child gated on the tracer's Fine flag: request tracers get the
@@ -183,11 +268,7 @@ func (s *SpanHandle) End() {
 	}
 	t := s.tracer
 	t.mu.Lock()
-	max := t.MaxSpans
-	if max <= 0 {
-		max = 8192
-	}
-	if len(t.spans) < max {
+	if len(t.spans) < t.maxSpans() {
 		t.spans = append(t.spans, s)
 	} else {
 		t.dropped.Add(1)
@@ -262,14 +343,7 @@ func (t *Tracer) Tree() []*SpanNode {
 				n.Utilization = 1
 			}
 		}
-		s.attrMu.Lock()
-		if len(s.attrs) > 0 {
-			n.Attrs = make(map[string]float64, len(s.attrs))
-			for k, v := range s.attrs {
-				n.Attrs[k] = v
-			}
-		}
-		s.attrMu.Unlock()
+		n.Attrs = s.attrMap()
 		nodes[s.id] = n
 		order[s.id] = s.start
 	}

@@ -134,3 +134,107 @@ func (s *SpanHandle) Wall() time.Duration {
 	}
 	return s.wall
 }
+
+// requestTree records one stream-json request's spans into tr the way the
+// server does: the root, the handler's stages, core.disassemble, one
+// core.classify and two levels with three attributes each. The root is
+// started without a context: obs.Span adds only the context value that
+// carries it.
+func requestTree(tr *Tracer, trace TraceID) *SpanHandle {
+	tr.SetTraceContext(trace, SpanID{})
+	root := tr.newSpan("serve.request", 0)
+	root.cpuStart = processCPUNanos()
+	root.FineChild("parallel.admission.wait").End()
+	root.FineChild("serve.template.load").End()
+	body := root.FineChild("serve.decode.body")
+	body.SetAttr("traces", 1)
+	body.End()
+	dis := root.Child("core.disassemble")
+	dis.SetAttr("traces", 1)
+	cls := dis.FineChild("core.classify")
+	cls.SetAttr("trace", 0)
+	for _, level := range []string{"core.classify.group", "core.classify.instr"} {
+		l := cls.Child(level)
+		l.SetAttr("label", 3)
+		l.SetAttr("confidence", 0.875)
+		l.SetAttr("margin", 0.5)
+		l.End()
+	}
+	cls.SetAttr("confidence", 0.75)
+	cls.End()
+	dis.SetAttr("confidence.mean", 0.75)
+	dis.SetAttr("decisions.seen", 7)
+	dis.End()
+	root.SetAttr("status", 200)
+	root.End()
+	return root
+}
+
+// TestRecycledTracerRecordsWithoutAllocating pins the pooled request
+// tracer's steady state: after one warm-up request, Reset, a recorded
+// stream-json-shaped tree and the tail sampler's drop allocate nothing.
+func TestRecycledTracerRecordsWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; allocation counts are meaningless under -race")
+	}
+	tr := NewTracer()
+	tr.Fine = true
+	tr.MaxSpans = 512
+	sampler := NewTailSampler(0, NewHistogram(DurationBuckets()))
+	trace := NewTraceID()
+	kept := false
+	allocs := testing.AllocsPerRun(20, func() {
+		tr.Reset()
+		requestTree(tr, trace)
+		kept, _ = sampler.Decide(200, time.Millisecond, false)
+	})
+	if kept {
+		t.Fatal("a rate-0 sampler kept a healthy trace")
+	}
+	if allocs != 0 {
+		t.Errorf("a recycled tracer allocates %.1f times per request, want 0", allocs)
+	}
+	if got := testing.AllocsPerRun(20, func() { _ = FormatTraceparent(trace, SpanID{1}, true) }); got != 1 {
+		t.Errorf("FormatTraceparent allocates %.1f times, want 1 (its string)", got)
+	}
+	for flags, sampled := range map[string]bool{"01": true, "00": false} {
+		span := exportSpanID(trace, 3)
+		if got, want := FormatTraceparent(trace, span, sampled), "00-"+trace.String()+"-"+span.String()+"-"+flags; got != want {
+			t.Errorf("FormatTraceparent = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestTracerResetRecyclesHandles pins that a recycled span carries nothing
+// of its previous run: a tracer reused for a smaller tree exports exactly
+// that tree, with fresh IDs and only the attributes set in this run.
+func TestTracerResetRecyclesHandles(t *testing.T) {
+	tr := NewTracer()
+	tr.Fine = true
+	requestTree(tr, TraceID{1})
+	first := tr.Export()
+	tr.Reset()
+	tr.SetTraceContext(TraceID{2}, SpanID{9})
+	root := tr.newSpan("again", 0)
+	root.Child("child").End()
+	root.SetAttr("only", 1)
+	root.End()
+	got := tr.Export()
+	if len(first.Spans) != 8 || len(got.Spans) != 2 {
+		t.Fatalf("exported %d then %d spans, want 8 then 2", len(first.Spans), len(got.Spans))
+	}
+	byName := map[string]ExportedSpan{}
+	for _, sp := range got.Spans {
+		byName[sp.Name] = sp
+	}
+	r, c := byName["again"], byName["child"]
+	if len(r.Attrs) != 1 || r.Attrs["only"] != 1 || len(c.Attrs) != 0 {
+		t.Fatalf("recycled spans carry attrs %v and %v, want {only:1} and none", r.Attrs, c.Attrs)
+	}
+	if r.SpanID != exportSpanID(TraceID{2}, 1).String() || r.ParentID != (SpanID{9}).String() || c.ParentID != r.SpanID {
+		t.Fatalf("recycled spans: root %+v, child %+v; want IDs restarting at 1 under the new remote parent", r, c)
+	}
+	if got.TraceID != (TraceID{2}).String() || got.Dropped != 0 || got.DurNS < 0 {
+		t.Fatalf("recycled export header %+v", got)
+	}
+}

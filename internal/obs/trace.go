@@ -111,13 +111,20 @@ func ParseTraceparent(header string) (trace TraceID, parent SpanID, sampled, ok 
 
 // FormatTraceparent renders a version-00 traceparent value. The sampled flag
 // reports our tail-sampling intent back to the caller; tail sampling decides
-// after the fact, so we always echo 01 ("may be recorded").
+// after the fact, so we always echo 01 ("may be recorded"). The value is
+// formatted in one stack buffer, so the returned string is its only
+// allocation.
 func FormatTraceparent(trace TraceID, span SpanID, sampled bool) string {
-	flags := "00"
+	var b [55]byte
+	copy(b[:3], "00-")
+	hex.Encode(b[3:35], trace[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], span[:])
+	copy(b[52:], "-00")
 	if sampled {
-		flags = "01"
+		b[54] = '1'
 	}
-	return "00-" + trace.String() + "-" + span.String() + "-" + flags
+	return string(b[:])
 }
 
 // TraceSchema names the exported trace record shape; bump on breaking change.
@@ -234,14 +241,7 @@ func (t *Tracer) Export() ExportedTrace {
 		default:
 			es.ParentID = remote
 		}
-		s.attrMu.Lock()
-		if len(s.attrs) > 0 {
-			es.Attrs = make(map[string]float64, len(s.attrs))
-			for k, v := range s.attrs {
-				es.Attrs[k] = v
-			}
-		}
-		s.attrMu.Unlock()
+		es.Attrs = s.attrMap()
 		if end := es.StartNS + es.DurNS; end > maxEnd {
 			maxEnd = end
 		}

@@ -19,10 +19,27 @@ const maxBodyPrealloc = 1 << 20
 
 var errEmptyBatch = errors.New("empty batch: provide at least one trace")
 
-// ReadTraces parses a decode request's body into a trace batch and checks
-// every trace against the template's traceLen, so a malformed batch is
-// rejected before any decode work starts. It is the handler's only body
-// parser.
+// traceBatch owns the memory one decode request's body is parsed into: the
+// read buffer and every trace's samples. The handler takes one from a pool
+// and returns it once the response is written, so a warm request parses
+// into the slices of an earlier one. A slice is reused only when it already
+// has room for a whole trace; otherwise the parse allocates exactly as a
+// fresh batch does, so a cold batch keeps the bounds of the DESIGN memory
+// contract.
+type traceBatch struct {
+	body   []byte      // the JSON body, or a frame's one-trace read buffer
+	header [8]byte     // a frame's header
+	limit  limitReader // the body, capped at the request limit
+	// traces is the last batch parsed; its slots up to cap keep the sample
+	// slices of earlier, larger batches for reuse.
+	traces [][]float64
+}
+
+// read parses a decode request's body into the batch and checks every
+// trace against the template's traceLen, so a malformed batch is rejected
+// before any decode work starts. It is the handler's only body parser. The
+// traces it returns are the batch's own memory: valid until the batch's
+// next read.
 //
 // A Content-Type whose media type is application/octet-stream (compared
 // case-insensitively, parameters ignored) selects the packed little-endian
@@ -32,29 +49,89 @@ var errEmptyBatch = errors.New("empty batch: provide at least one trace")
 // of RFC 8259 numbers, with nothing but whitespace after the object.
 //
 // Bodies past maxBytes fail with an error wrapping *http.MaxBytesError.
-func ReadTraces(r *http.Request, maxBytes int64, traceLen int) ([][]float64, error) {
+func (b *traceBatch) read(r *http.Request, maxBytes int64, traceLen int) ([][]float64, error) {
+	b.traces = b.traces[:0]
 	if r.ContentLength > maxBytes {
 		return nil, fmt.Errorf("reading body: %w", &http.MaxBytesError{Limit: maxBytes})
 	}
-	body := http.MaxBytesReader(nil, r.Body, maxBytes)
+	limit := max(maxBytes, 0) // as http.MaxBytesReader reads a negative limit
+	b.limit = limitReader{r: r.Body, limit: limit, left: limit}
+	defer func() { b.limit = limitReader{} }()
 	mediaType, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	if strings.EqualFold(strings.TrimSpace(mediaType), "application/octet-stream") {
-		return readBinaryTraces(body, maxBytes, traceLen)
+		return b.readFrame(&b.limit, maxBytes, traceLen)
 	}
-	buf, err := readBody(body, r.ContentLength)
-	if err != nil {
+	var err error
+	if b.body, err = readBody(&b.limit, r.ContentLength, b.body); err != nil {
 		return nil, fmt.Errorf("reading JSON body: %w", err)
 	}
-	return parseTraces(buf, traceLen)
+	return b.parseJSON(traceLen)
 }
 
-// readBody reads body whole into one buffer. Content-Length sizes the first
-// allocation, up to maxBodyPrealloc; past that the buffer doubles as bytes
-// arrive, so it never exceeds twice what was read.
-func readBody(body io.Reader, contentLength int64) ([]byte, error) {
+// spare returns the batch's slice at trace index i, emptied, when it has
+// room for n samples, and nil otherwise.
+func (b *traceBatch) spare(i, n int) []float64 {
+	if i < cap(b.traces) {
+		if tr := b.traces[:i+1][i]; cap(tr) >= n {
+			return tr[:0]
+		}
+	}
+	return nil
+}
+
+// retainedBytes is the memory the batch would keep in a pool: its read
+// buffer, its sample slices and the slice headers that hold them.
+func (b *traceBatch) retainedBytes() int {
+	n := cap(b.body) + 24*cap(b.traces)
+	for _, tr := range b.traces[:cap(b.traces)] {
+		n += 8 * cap(tr)
+	}
+	return n
+}
+
+// limitReader is http.MaxBytesReader without its allocation: it reads at
+// most limit bytes of r and fails every read past them with
+// *http.MaxBytesError, reading the same bytes MaxBytesReader would.
+type limitReader struct {
+	r           io.Reader
+	limit, left int64
+	err         error // sticky
+}
+
+func (l *limitReader) Read(p []byte) (int, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	// One byte past the limit tells reaching it from passing it.
+	if int64(len(p))-1 > l.left {
+		p = p[:l.left+1]
+	}
+	n, err := l.r.Read(p)
+	if int64(n) <= l.left {
+		l.left -= int64(n)
+		l.err = err
+		return n, err
+	}
+	n = int(l.left)
+	l.left = 0
+	l.err = &http.MaxBytesError{Limit: l.limit}
+	return n, l.err
+}
+
+// readBody reads body whole into buf, which it returns grown. Content-Length
+// sizes the buffer, up to maxBodyPrealloc: buf is reused when it already
+// holds that much and replaced by one allocation otherwise. Past that the
+// buffer doubles as bytes arrive, so it never exceeds twice what was read.
+func readBody(body io.Reader, contentLength int64, buf []byte) ([]byte, error) {
 	// The MinRead slack leaves room for the final read that reports EOF, so
 	// an honest Content-Length costs one allocation.
-	buf := make([]byte, 0, min(max(contentLength, 0)+bytes.MinRead, maxBodyPrealloc))
+	if want := min(max(contentLength, 0)+bytes.MinRead, maxBodyPrealloc); int64(cap(buf)) < want {
+		buf = make([]byte, 0, want)
+	}
+	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(make([]byte, 0, 2*cap(buf)), buf...)
@@ -65,16 +142,16 @@ func readBody(body io.Reader, contentLength int64) ([]byte, error) {
 			return buf, nil
 		}
 		if err != nil {
-			return nil, err
+			return buf, err
 		}
 	}
 }
 
-// readBinaryTraces parses the packed little-endian frame: uint32 count,
-// uint32 traceLen, then count*traceLen float64 samples.
-func readBinaryTraces(body io.Reader, maxBytes int64, traceLen int) ([][]float64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(body, hdr[:]); err != nil {
+// readFrame parses the packed little-endian frame: uint32 count, uint32
+// traceLen, then count*traceLen float64 samples.
+func (b *traceBatch) readFrame(body io.Reader, maxBytes int64, traceLen int) ([][]float64, error) {
+	hdr := b.header[:]
+	if _, err := io.ReadFull(body, hdr); err != nil {
 		return nil, fmt.Errorf("binary body: reading header: %w", err)
 	}
 	count := binary.LittleEndian.Uint32(hdr[0:4])
@@ -93,48 +170,58 @@ func readBinaryTraces(body io.Reader, maxBytes int64, traceLen int) ([][]float64
 	}
 	// The batch slice grows as traces arrive, never from the declared count:
 	// a header promising a large batch allocates nothing until its samples do.
-	var traces [][]float64
-	buf := make([]byte, 8*int(n))
+	if cap(b.body) < 8*int(n) {
+		b.body = make([]byte, 8*int(n))
+	}
+	buf := b.body[:8*int(n)]
 	for i := 0; i < int(count); i++ {
 		if _, err := io.ReadFull(body, buf); err != nil {
 			return nil, fmt.Errorf("binary body: trace %d truncated: %w", i, err)
 		}
-		tr := make([]float64, n)
+		tr := b.spare(i, int(n))
+		if tr == nil {
+			tr = make([]float64, n)
+		}
+		tr = tr[:n]
 		for j := range tr {
 			tr[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
 		}
-		traces = append(traces, tr)
+		b.traces = append(b.traces, tr)
 	}
-	// Trailing bytes mean the header lied about the batch shape.
-	extra, err := io.Copy(io.Discard, io.LimitReader(body, 1))
-	if err != nil {
-		return nil, fmt.Errorf("binary body: after declared batch: %w", err)
+	// Trailing bytes mean the header lied about the batch shape. A read
+	// error outranks a byte read with it, as in io.Copy.
+	for {
+		extra, err := body.Read(hdr[:1])
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("binary body: after declared batch: %w", err)
+		}
+		if extra > 0 {
+			return nil, errors.New("binary body: trailing bytes after declared batch")
+		}
+		if err == io.EOF {
+			return b.traces, nil
+		}
 	}
-	if extra > 0 {
-		return nil, errors.New("binary body: trailing bytes after declared batch")
-	}
-	return traces, nil
 }
 
 // traceParser scans a JSON decode-request body in one pass, checking the
 // grammar as it goes and converting each number where it stands.
 type traceParser struct {
-	buf []byte
-	pos int
+	buf   []byte
+	pos   int
+	batch *traceBatch
 }
 
-// parseTraces parses body as {"traces": null | [trace, …]} where each trace
-// is an array of exactly traceLen numbers. Each trace is written straight
-// into one slice and rejected as soon as its length is wrong.
-func parseTraces(body []byte, traceLen int) ([][]float64, error) {
-	p := traceParser{buf: body}
+// parseJSON parses the batch's body as {"traces": null | [trace, …]} where
+// each trace is an array of exactly traceLen numbers. Each trace is written
+// straight into one slice and rejected as soon as its length is wrong.
+func (b *traceBatch) parseJSON(traceLen int) ([][]float64, error) {
+	p := traceParser{buf: b.body, batch: b}
 	if err := p.expect('{', `'{'`); err != nil {
 		return nil, err
 	}
-	var traces [][]float64
 	if !p.skip('}') {
-		var err error
-		if traces, err = p.member(traceLen); err != nil {
+		if err := p.member(traceLen); err != nil {
 			return nil, err
 		}
 		// A second key, repeated or not, is a syntax error here.
@@ -146,49 +233,47 @@ func parseTraces(body []byte, traceLen int) ([][]float64, error) {
 	if p.pos != len(p.buf) {
 		return nil, p.syntaxError("end of body after the object")
 	}
-	if len(traces) == 0 {
+	if len(b.traces) == 0 {
 		return nil, errEmptyBatch
 	}
-	return traces, nil
+	return b.traces, nil
 }
 
-// member parses the object's one member, "traces": null | [trace, …]. The
-// key must be exactly those bytes: no escapes, no case folding.
-func (p *traceParser) member(traceLen int) ([][]float64, error) {
+// member parses the object's one member, "traces": null | [trace, …], into
+// the batch. The key must be exactly those bytes: no escapes, no case
+// folding.
+func (p *traceParser) member(traceLen int) error {
 	p.skipSpace()
 	if !bytes.HasPrefix(p.buf[p.pos:], []byte(`"traces"`)) {
-		return nil, p.syntaxError(`the key "traces"`)
+		return p.syntaxError(`the key "traces"`)
 	}
 	p.pos += len(`"traces"`)
 	if err := p.expect(':', `':'`); err != nil {
-		return nil, err
+		return err
 	}
 	p.skipSpace()
 	if bytes.HasPrefix(p.buf[p.pos:], []byte("null")) {
 		p.pos += len("null")
-		return nil, nil
+		return nil
 	}
 	if err := p.expect('[', `'[' or null`); err != nil {
-		return nil, err
+		return err
 	}
-	var traces [][]float64
 	if p.skip(']') {
-		return traces, nil
+		return nil
 	}
+	b := p.batch
 	for {
-		tr, err := p.trace(len(traces), traceLen)
+		tr, err := p.trace(len(b.traces), traceLen)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		traces = append(traces, tr)
+		b.traces = append(b.traces, tr)
 		if !p.skip(',') {
 			break
 		}
 	}
-	if err := p.expect(']', `',' or ']'`); err != nil {
-		return nil, err
-	}
-	return traces, nil
+	return p.expect(']', `',' or ']'`)
 }
 
 // trace parses one [number, …] array of exactly traceLen numbers.
@@ -196,10 +281,14 @@ func (p *traceParser) trace(index, traceLen int) ([]float64, error) {
 	if err := p.expect('[', `'[' opening a trace`); err != nil {
 		return nil, err
 	}
-	// Every sample takes at least two bytes (a digit and a ',' or ']'), so
-	// the bytes left bound how many can follow: a body cut short never gets
-	// a whole trace's allocation, and a complete trace always fits.
-	tr := make([]float64, 0, min(traceLen, (len(p.buf)-p.pos)/2))
+	tr := p.batch.spare(index, traceLen)
+	if tr == nil {
+		// Every sample takes at least two bytes (a digit and a ',' or ']'),
+		// so the bytes left bound how many can follow: a body cut short
+		// never gets a whole trace's allocation, and a complete trace
+		// always fits.
+		tr = make([]float64, 0, min(traceLen, (len(p.buf)-p.pos)/2))
+	}
 	if !p.skip(']') {
 		for {
 			v, err := p.number()

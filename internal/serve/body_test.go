@@ -126,6 +126,12 @@ func zeroBatchJSON(traces, traceLen int) []byte {
 	return []byte(`{"traces":[` + strings.Join(rows, ",") + "]}")
 }
 
+// ReadTraces parses a decode request's body into a fresh batch: the cold
+// path of the handler's parser, which the memory contract bounds.
+func ReadTraces(r *http.Request, maxBytes int64, traceLen int) ([][]float64, error) {
+	return new(traceBatch).read(r, maxBytes, traceLen)
+}
+
 func readTracesBody(body []byte, contentType string, traceLen int) ([][]float64, error) {
 	r := httptest.NewRequest(http.MethodPost, "/v1/disassemble/demo", bytes.NewReader(body))
 	r.Header.Set("Content-Type", contentType)
@@ -441,9 +447,25 @@ func FuzzReadTraces(f *testing.F) {
 	for _, s := range readTracesSeeds() {
 		f.Add(s.body, s.contentType, s.traceLen)
 	}
+	warmFrame := encodeFrame(randomBatch(64, benchTraceLen, 4))
+	warmJSON := marshalBatch(randomBatch(1, benchTraceLen, 5))
 	f.Fuzz(func(t *testing.T, body []byte, contentType string, n uint16) {
 		traceLen := 1 + int(n-1)%512 // 1..512; a seed's n is its traceLen
 		got, err := readTracesBody(body, contentType, traceLen)
+
+		// A pooled batch that already parsed differently shaped bodies
+		// parses the input exactly as a fresh one does.
+		warm := new(traceBatch)
+		if _, werr := readBatch(warm, warmFrame, "application/octet-stream", benchTraceLen); werr != nil {
+			t.Fatal(werr)
+		}
+		if _, werr := readBatch(warm, warmJSON, "application/json", benchTraceLen); werr != nil {
+			t.Fatal(werr)
+		}
+		again, aerr := readBatch(warm, body, contentType, traceLen)
+		if msg := sameParse(got, err, again, aerr); msg != "" {
+			t.Fatalf("reused batch: %s", msg)
+		}
 		if err == nil {
 			if len(got) == 0 {
 				t.Fatal("accepted an empty batch")
@@ -478,6 +500,96 @@ func FuzzReadTraces(f *testing.F) {
 			t.Fatalf("framed batch not read back unchanged: %v", err)
 		}
 	})
+}
+
+// readBatch parses body through b, as the handler does with a pooled batch.
+func readBatch(b *traceBatch, body []byte, contentType string, traceLen int) ([][]float64, error) {
+	r := httptest.NewRequest(http.MethodPost, "/v1/disassemble/demo", bytes.NewReader(body))
+	r.Header.Set("Content-Type", contentType)
+	return b.read(r, 1<<20, traceLen)
+}
+
+// sameParse compares a fresh parse with a reused batch's parse of the same
+// body: the same samples bit for bit, or the same error text. It returns
+// what differs, or "" when nothing does.
+func sameParse(want [][]float64, wantErr error, got [][]float64, gotErr error) string {
+	switch {
+	case (wantErr == nil) != (gotErr == nil):
+		return fmt.Sprintf("error %v, fresh batch %v", gotErr, wantErr)
+	case wantErr != nil && wantErr.Error() != gotErr.Error():
+		return fmt.Sprintf("error %q, fresh batch %q", gotErr, wantErr)
+	case !sameBits(got, want):
+		return "samples differ from a fresh batch's"
+	}
+	return ""
+}
+
+// TestTraceBatchReuse runs one batch through bodies of changing shape and
+// requires each parse to match a fresh batch's: samples bit for bit, error
+// text verbatim. Slices left by a larger batch, a trace cut short, a trace
+// rejected as too long and a frame's read buffer must not leak into the
+// next parse.
+func TestTraceBatchReuse(t *testing.T) {
+	const js, bin = "application/json", "application/octet-stream"
+	zeros := zeroBatchJSON(8, benchTraceLen)
+	steps := []struct {
+		name, contentType string
+		body              []byte
+		traceLen          int
+	}{
+		{"large", js, marshalBatch(randomBatch(64, benchTraceLen, 11)), benchTraceLen},
+		{"small", js, marshalBatch(randomBatch(1, benchTraceLen, 12)), benchTraceLen},
+		{"truncated", js, zeros[:len(zeros)/2], benchTraceLen},
+		{"over-long trace", js, marshalBatch(randomBatch(2, benchTraceLen+1, 13)), benchTraceLen},
+		{"short trace", js, marshalBatch(randomBatch(3, benchTraceLen-1, 14)), benchTraceLen},
+		{"frame", bin, encodeFrame(randomBatch(64, benchTraceLen, 15)), benchTraceLen},
+		{"truncated frame", bin, encodeFrame(randomBatch(4, benchTraceLen, 16))[:8*benchTraceLen], benchTraceLen},
+		{"longer template", js, marshalBatch(randomBatch(2, 2*benchTraceLen, 17)), 2 * benchTraceLen},
+		{"json", js, marshalBatch(randomBatch(3, benchTraceLen, 18)), benchTraceLen},
+	}
+	b := new(traceBatch)
+	for _, st := range steps {
+		want, wantErr := readBatch(new(traceBatch), st.body, st.contentType, st.traceLen)
+		got, gotErr := readBatch(b, st.body, st.contentType, st.traceLen)
+		if msg := sameParse(want, wantErr, got, gotErr); msg != "" {
+			t.Fatalf("%s: %s", st.name, msg)
+		}
+	}
+}
+
+// TestTraceBatchWarmParseAllocatesNothing pins the steady state: once a
+// batch has parsed a body of a shape, parsing that shape again allocates
+// nothing, for a real-time monitor's one-trace JSON body and for a bulk
+// 64-trace frame.
+func TestTraceBatchWarmParseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; allocation counts are meaningless under -race")
+	}
+	for _, bc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"json-1x315", "application/json", marshalBatch(randomBatch(1, benchTraceLen, 1))},
+		{"frame-64x315", "application/octet-stream", encodeFrame(randomBatch(64, benchTraceLen, 1))},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/disassemble/demo", nil)
+		r.Header.Set("Content-Type", bc.contentType)
+		r.ContentLength = int64(len(bc.body))
+		body := rewindBody{bytes.NewReader(bc.body)}
+		r.Body = body
+		b := new(traceBatch)
+		var err error
+		allocs := testing.AllocsPerRun(20, func() {
+			body.Reset(bc.body)
+			_, err = b.read(r, 256<<20, benchTraceLen)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", bc.name, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a warm batch allocates %.1f times per parse, want 0", bc.name, allocs)
+		}
+	}
 }
 
 // fuzzBatch draws one to three traces whose samples cover the float64

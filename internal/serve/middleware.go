@@ -184,25 +184,26 @@ const traceMaxSpans = 512
 // the route (the pattern, not the raw path — raw paths would blow the label
 // budget).
 //
-// Tracing: every request gets its own fine-grained Tracer carried in the
-// context — W3C trace identity comes from an incoming traceparent header
-// when present (and its sampled flag forces the tail sampler's keep), a
-// fresh random trace ID otherwise; the response echoes a traceparent naming
-// our root span so callers can stitch trees. The keep/drop decision is
-// tail-based: it runs in the deferred recorder when status and duration are
-// known, and a kept trace goes to the debug ring and the async exporter —
-// never blocking the response path.
+// Tracing: every request gets its own fine-grained Tracer, taken from a
+// pool and carried in the context — W3C trace identity comes from an
+// incoming traceparent header when present (and its sampled flag forces the
+// tail sampler's keep), a fresh random trace ID otherwise; the response
+// echoes a traceparent naming our root span so callers can stitch trees.
+// The keep/drop decision is tail-based: it runs in the deferred recorder
+// when status and duration are known, and a kept trace goes to the debug
+// ring and the async exporter — never blocking the response path. The
+// tracer goes back to its pool after that, on a normal return only.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		m := srvMet()
 		id, idSource := requestID(r)
 		w.Header().Set("X-Request-Id", id)
 
-		// Per-request tracer: trace identity first, so the echoed traceparent
-		// (headers must precede the body) can name the root span.
-		tracer := obs.NewTracer()
-		tracer.Fine = true
-		tracer.MaxSpans = traceMaxSpans
+		// Per-request tracer, from the pool: trace identity first, so the
+		// echoed traceparent (headers must precede the body) can name the
+		// root span.
+		tracer := requestTracers.get()
+		tracer.Reset()
 		forced := r.URL.Query().Get("trace") == "1"
 		traceID, remoteParent := obs.TraceID{}, obs.SpanID{}
 		if tid, pid, sampled, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
@@ -242,7 +243,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				}
 			}
 			code := strconv.Itoa(status)
-			traceHex := traceID.String()
 
 			root.SetAttr("status", float64(status))
 			root.End()
@@ -261,6 +261,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			keep, reason := s.sampler.Decide(status, sampleDur, forced)
 
+			// The trace ID's hex is built only for a kept trace or a log line.
+			traceHex := ""
+			if keep || s.access != nil {
+				traceHex = traceID.String()
+			}
 			m.requests.With(route, st.template, code).Inc()
 			exemplarID := ""
 			if keep {
@@ -328,6 +333,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			if rec != nil {
 				panic(rec)
 			}
+			// Export, the ring record and the ?trace=1 tree copied what they
+			// hold, and the handler has returned: no span of the tracer is in
+			// use any more.
+			requestTracers.put(tracer)
 		}()
 		h(sw, r)
 	}

@@ -227,13 +227,24 @@ type DisassembleResponse struct {
 	Spans []*obs.SpanNode `json:"spans,omitempty"`
 }
 
-// handleDisassemble decodes one batch of traces against the named template.
-//
-// ReadTraces parses the body: JSON {"traces": [[...], ...]} or a packed
-// little-endian frame, which skips JSON float formatting for large batches.
-// A body past MaxBodyBytes is 413, a body not received within
-// bodyReadTimeout of admission 408, any other malformed body 400.
+// handleDisassemble decodes one batch of traces against the named template,
+// parsing the body into a pooled batch. The batch goes back to its pool
+// after the response is written, and not at all when the decode panics:
+// the put is not deferred, so a panic unwinding past it leaves the batch to
+// the GC.
 func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
+	b := batches.get()
+	s.disassemble(w, r, b)
+	batches.put(b)
+}
+
+// disassemble serves one decode request, with b holding the parsed body.
+//
+// The body is JSON {"traces": [[...], ...]} or a packed little-endian
+// frame, which skips JSON float formatting for large batches (see
+// traceBatch.read). A body past MaxBodyBytes is 413, a body not received
+// within bodyReadTimeout of admission 408, any other malformed body 400.
+func (s *Server) disassemble(w http.ResponseWriter, r *http.Request, b *traceBatch) {
 	name := r.PathValue("template")
 	tpl, err := s.reg.Get(name)
 	if err != nil {
@@ -291,7 +302,7 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 	}
 
 	decodeBodySpan := root.FineChild("serve.decode.body")
-	traces, err := ReadTraces(r, s.cfg.MaxBodyBytes, tpl.traceLen)
+	traces, err := b.read(r, s.cfg.MaxBodyBytes, tpl.traceLen)
 	// Clear the deadline once the body is in, so it cannot reach the decode:
 	// net/http reads the connection in the background after the body's EOF,
 	// and a failed read of the connection cancels the request context.
@@ -357,16 +368,20 @@ func (s *Server) handleDisassemble(w http.ResponseWriter, r *http.Request) {
 		// so handler-stage spans render at the top level.
 		resp.Spans = obs.TracerFrom(ctx).Tree()
 	}
-	// Marshal before writing: a marshal failure mid-stream would leave the
+	// Encode before writing: a marshal failure mid-stream would leave the
 	// client a partial 200 no error can follow (writeError refuses to append
-	// one). Buffering makes encode errors a clean 500 instead.
-	body, err := json.Marshal(&resp)
-	if err != nil {
+	// one). Buffering makes encode errors a clean 500 instead. The encoder
+	// writes json.Marshal's bytes and a newline, and nothing on error.
+	out := responses.get()
+	out.buf.Reset()
+	if err := out.enc.Encode(&resp); err != nil {
+		responses.put(out)
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
+	w.Write(out.buf.Bytes())
+	responses.put(out)
 }
 
 // driftStateValue maps a drift state name to its gauge encoding (the
